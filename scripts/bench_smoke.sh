@@ -1,12 +1,14 @@
 #!/usr/bin/env bash
 # Reduced-rep benchmark smoke pass for CI (the `bench-smoke` ctest label).
 #
-# Runs the two trajectory benchmarks at a small fixed workload, then diffs
+# Runs the trajectory benchmarks at a small fixed workload, then diffs
 # the emitted JSON against the committed bench/baseline/BENCH_*.json with
 # scripts/bench_compare.py: any >15% throughput drop below the (already
 # noise-derated) baseline, any race-count drift, or any allocs-per-event
-# growth fails the test. Exit 77 (ctest SKIP_RETURN_CODE) when python3 is
-# unavailable.
+# growth fails the test. When a baseline comes from another host class
+# only the throughput ratios and the scaling bar are skipped; race counts
+# and allocations are still checked and the partial result is printed.
+# Exit 77 (ctest SKIP_RETURN_CODE) when python3 is unavailable.
 #
 # Usage: bench_smoke.sh <build-dir> [repo-root]
 set -u
@@ -42,10 +44,9 @@ run_and_compare() {
       "$REPO_ROOT/bench/baseline/$json" "$OUT_DIR/$json"
   local rc=$?
   if [ "$rc" -eq 77 ]; then
-    # bench_compare refuses cross-host-class diffs (the committed baseline
-    # was recorded on a different machine class); that is a skip, not a
-    # regression.
-    echo "bench_smoke: $tool: baseline from a different host class; skipping diff" >&2
+    # The committed baseline was recorded on a different machine class:
+    # bench_compare checked races and allocations but not the timings.
+    echo "bench_smoke: $tool: races and allocs_per_event match the baseline; throughput ratios and scaling bar skipped (baseline from a different host class)" >&2
   elif [ "$rc" -ne 0 ]; then
     status=1
   fi

@@ -54,9 +54,9 @@ public:
   virtual void touches(const Action &A, std::vector<AccessPoint> &Out) const = 0;
 
   /// Debug name of a class, e.g. "o:w:k". Defaults to "class<N>". The
-  /// returned view must stay valid for the provider's lifetime — race
-  /// reports keep it as-is instead of copying (a 40+ character translated
-  /// class name would otherwise cost one heap allocation per report).
+  /// returned view must stay valid for the provider's lifetime. Race
+  /// reports copy it into an owned CommutativityRace::PointName, because
+  /// a report may outlive the provider.
   virtual std::string_view className(uint32_t ClassId) const;
 
 private:

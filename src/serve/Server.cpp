@@ -16,6 +16,9 @@
 #include <sstream>
 
 #include <fcntl.h>
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
 #include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
@@ -37,6 +40,20 @@ void closeIfOpen(int &Fd) {
     ::close(Fd);
     Fd = -1;
   }
+}
+
+/// Heap bytes allocated and not yet freed: arena chunks in use plus
+/// mmapped blocks (glibc's mallinfo2; 0 where it is unavailable). Unlike
+/// RSS this holds no high-water mark — glibc keeps what worker threads
+/// free in per-thread arenas and returns little of it to the OS — so it
+/// is the number that shows per-session state accreting.
+uint64_t heapLiveBytes() {
+#if defined(__GLIBC__) && (__GLIBC__ > 2 || __GLIBC_MINOR__ >= 33)
+  struct mallinfo2 Info = ::mallinfo2();
+  return Info.uordblks + Info.hblkhd;
+#else
+  return 0;
+#endif
 }
 
 } // namespace
@@ -449,6 +466,7 @@ ServeMetrics Server::metricsSnapshot() {
   std::lock_guard<std::mutex> Lock(StatsMu);
   ServeMetrics M = Totals;
   M.SessionsActive = Live.size();
+  M.HeapLiveBytes = heapLiveBytes();
   for (const auto &Entry : Live) {
     SessionMetricsSnapshot S = Entry.second->metricsSnapshot();
     M.EventsTotal += S.Events;
@@ -478,6 +496,7 @@ void Server::writeStatusJson(std::ostream &OS) {
   W.field("events_total", M.EventsTotal);
   W.field("races_total", M.RacesTotal);
   W.field("dropped_chunks_total", M.DroppedChunksTotal);
+  W.field("heap_live_bytes", M.HeapLiveBytes);
   W.key("sessions");
   W.beginArray();
   for (const SessionMetricsSnapshot &S : M.Sessions) {

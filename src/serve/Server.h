@@ -72,6 +72,7 @@ struct ServeMetrics {
   uint64_t EventsTotal = 0; ///< Closed + live sessions.
   uint64_t RacesTotal = 0;
   uint64_t DroppedChunksTotal = 0;
+  uint64_t HeapLiveBytes = 0; ///< Allocated, not yet freed (0 off glibc).
   std::vector<SessionMetricsSnapshot> Sessions; ///< Live sessions only.
 };
 

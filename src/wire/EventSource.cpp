@@ -9,6 +9,8 @@
 #include "trace/TraceIO.h"
 #include "wire/WireFormat.h"
 
+#include <fstream>
+
 using namespace crd;
 using namespace crd::wire;
 
@@ -34,52 +36,34 @@ bool TextStreamSource::next(Event &E) {
 
 namespace {
 
-/// Owns the file stream alongside the wrapped source.
-template <typename SourceT> class FileSource : public EventSource {
-public:
-  FileSource(std::ifstream In, DiagnosticEngine &Diags)
-      : In(std::move(In)), Source(this->In, Diags) {}
-
-  bool next(Event &E) override { return Source.next(E); }
-  bool failed() const override { return Source.failed(); }
-  const WireReader *wireReader() const override { return Source.wireReader(); }
-
-private:
-  std::ifstream In;
-  SourceT Source;
-};
-
-} // namespace
-
-bool wire::isWireFile(const std::string &Path) {
-  std::ifstream In(Path, std::ios::binary);
+/// True when \p In starts with the binary wire magic.
+bool startsWithMagic(std::istream &In) {
   char Head[4] = {};
   In.read(Head, 4);
   return In.gcount() == 4 && Head[0] == Magic[0] && Head[1] == Magic[1] &&
          Head[2] == Magic[2] && Head[3] == Magic[3];
 }
 
+} // namespace
+
+bool wire::isWireFile(const std::string &Path) {
+  std::ifstream In(Path, std::ios::binary);
+  return startsWithMagic(In);
+}
+
 std::unique_ptr<EventSource> wire::openEventSource(const std::string &Path,
                                                    DiagnosticEngine &Diags) {
-  std::ifstream Probe(Path, std::ios::binary);
-  if (!Probe) {
+  auto In = std::make_unique<std::ifstream>(Path, std::ios::binary);
+  if (!*In) {
     Diags.error({}, "cannot open trace file '" + Path + "'");
     return nullptr;
   }
-  char Head[4] = {};
-  Probe.read(Head, 4);
-  bool Binary = Probe.gcount() == 4 && Head[0] == Magic[0] &&
-                Head[1] == Magic[1] && Head[2] == Magic[2] &&
-                Head[3] == Magic[3];
-  Probe.close();
-
-  std::ifstream In(Path, Binary ? std::ios::binary : std::ios::in);
-  if (!In) {
-    Diags.error({}, "cannot open trace file '" + Path + "'");
-    return nullptr;
-  }
+  bool Binary = startsWithMagic(*In);
+  // Rewind for the source, which reads from the first byte (the binary
+  // reader re-validates the file header).
+  In->clear();
+  In->seekg(0);
   if (Binary)
-    return std::make_unique<FileSource<BinaryStreamSource>>(std::move(In),
-                                                            Diags);
-  return std::make_unique<FileSource<TextStreamSource>>(std::move(In), Diags);
+    return std::make_unique<BinaryStreamSource>(std::move(In), Diags);
+  return std::make_unique<TextStreamSource>(std::move(In), Diags);
 }

@@ -29,7 +29,7 @@
 #include "trace/Trace.h"
 #include "wire/WireReader.h"
 
-#include <fstream>
+#include <istream>
 #include <memory>
 #include <string>
 
@@ -50,9 +50,12 @@ public:
   /// every payload (B pins invoke values into its own arena) and carries
   /// the kind array + sync-event index the run-based parallel pipeline
   /// consumes. The default pulls next() one event at a time and builds the
-  /// sync index with the SIMD kind-scan; the binary source overrides this
-  /// with the decoder's chunk-at-a-time path, which emits the index during
-  /// decode.
+  /// sync index with the SIMD kind-scan. BinaryStreamSource — the source
+  /// openEventSource() returns for wire files, so the one every tool reads
+  /// through — overrides this with the decoder's chunk-at-a-time path,
+  /// which emits the index during decode and, under a memo mode, serves
+  /// verified-repeat chunks from the reader's cache (decoding them on
+  /// demand in MemoMode::Full).
   virtual size_t nextBatch(EventBatch &B, size_t MaxEvents) {
     Event E = Event::txBegin(ThreadId(0)); // Overwritten by next().
     size_t N = 0;
@@ -68,8 +71,7 @@ public:
   virtual bool failed() const { return false; }
 
   /// The binary decoder behind this source, when there is one — lets the
-  /// observability snapshot report decode counters without knowing how
-  /// many wrappers deep the WireReader sits. Wrapper sources forward.
+  /// observability snapshot report decode counters.
   virtual const WireReader *wireReader() const { return nullptr; }
 
   /// Mutable access to the binary decoder for memoization control
@@ -98,13 +100,18 @@ private:
 /// Streams a textual trace line-by-line; no whole-file buffer, no Trace.
 class TextStreamSource : public EventSource {
 public:
+  /// Reads \p In, which the caller keeps alive.
   TextStreamSource(std::istream &In, DiagnosticEngine &Diags)
       : In(In), Diags(Diags) {}
+  /// Reads and owns \p File (openEventSource).
+  TextStreamSource(std::unique_ptr<std::istream> File, DiagnosticEngine &Diags)
+      : Owned(std::move(File)), In(*Owned), Diags(Diags) {}
 
   bool next(Event &E) override;
   bool failed() const override { return Failed; }
 
 private:
+  std::unique_ptr<std::istream> Owned; ///< Null for borrowed streams.
   std::istream &In;
   DiagnosticEngine &Diags;
   std::string Line;
@@ -115,8 +122,14 @@ private:
 /// Streams a binary wire trace chunk-at-a-time.
 class BinaryStreamSource : public EventSource {
 public:
+  /// Reads \p In, which the caller keeps alive (serve sessions, in-memory
+  /// streams).
   BinaryStreamSource(std::istream &In, DiagnosticEngine &Diags)
       : Reader(In, Diags) {}
+  /// Reads and owns \p File (openEventSource).
+  BinaryStreamSource(std::unique_ptr<std::istream> File,
+                     DiagnosticEngine &Diags)
+      : Owned(std::move(File)), Reader(*Owned, Diags) {}
 
   bool next(Event &E) override { return Reader.next(E); }
   size_t nextBatch(EventBatch &B, size_t MaxEvents) override {
@@ -129,12 +142,14 @@ public:
   const WireReader &reader() const { return Reader; }
 
 private:
+  std::unique_ptr<std::istream> Owned; ///< Null for borrowed streams.
   WireReader Reader;
 };
 
-/// Opens \p Path and returns the matching source: binary when the file
-/// starts with the wire magic, textual otherwise. Returns nullptr (with a
-/// diagnostic) when the file cannot be opened.
+/// Opens \p Path and returns the matching source, owning the file: a
+/// BinaryStreamSource when the file starts with the wire magic, a
+/// TextStreamSource otherwise. Returns nullptr (with a diagnostic) when
+/// the file cannot be opened.
 std::unique_ptr<EventSource> openEventSource(const std::string &Path,
                                              DiagnosticEngine &Diags);
 

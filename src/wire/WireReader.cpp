@@ -222,10 +222,6 @@ bool WireReader::loadChunk() {
     return false;
   }
   FileOffset += Payload.size();
-  Pos = 0;
-  PrevThread = 0;
-  PrevObject = 0;
-  PayloadBytes.add(Payload.size());
   // The previous chunk's batch is fully handed out by now (next() only
   // loads a chunk once the prior one is drained), so its decoded values
   // can be reclaimed wholesale.
@@ -233,26 +229,71 @@ bool WireReader::loadChunk() {
     ArenaPeak = ValueArena.bytesUsed();
   ValueArena.reset();
 
+  std::optional<uint64_t> Count =
+      decodePrologue(WithDigest ? &Digest : nullptr);
+  if (!Count)
+    return false;
+  EventsLeft = *Count;
+  ++NumChunks;
+  return true;
+}
+
+std::optional<uint64_t> WireReader::decodePrologue(const uint64_t *Digest) {
+  Pos = 0;
+  PrevThread = 0;
+  PrevObject = 0;
+  PayloadBytes.add(Payload.size());
   ByteReader R(reinterpret_cast<const uint8_t *>(Payload.data()),
                Payload.size());
   auto Count = R.varint();
   if (!Count) {
     fail("malformed chunk: bad event count");
-    return false;
+    return std::nullopt;
   }
   if (!decodeSymbolTable(R, Syms)) {
     fail("malformed chunk: bad symbol table");
-    return false;
+    return std::nullopt;
   }
-  EventsLeft = *Count;
   Pos = R.offset();
-  if (WithDigest && !checkChunkDigest(Payload, Pos, Digest, ChunkBase, Diags,
-                                      Failed)) {
+  if (Digest &&
+      !checkChunkDigest(Payload, Pos, *Digest, ChunkBase, Diags, Failed)) {
     DigestErrors.inc();
-    return false;
+    return std::nullopt;
   }
   SymbolCount.add(Syms.size());
-  ++NumChunks;
+  return Count;
+}
+
+bool WireReader::decodeEventsInto(EventBatch &Dst, uint64_t Count) {
+  Event E = Event::txBegin(ThreadId(0)); // Overwritten by decodeEvent.
+  for (uint64_t Left = Count; Left != 0; --Left) {
+    if (!decodeEvent(E, Dst.Values))
+      return false;
+    if (static_cast<uint8_t>(E.kind()) < SyncKindBound)
+      Dst.SyncPos.push_back(static_cast<uint32_t>(Dst.size()));
+    Dst.appendPinned(std::move(E));
+  }
+  if (Pos != Payload.size()) {
+    fail("malformed chunk: " + std::to_string(Payload.size() - Pos) +
+         " trailing payload bytes after last event");
+    return false;
+  }
+  return true;
+}
+
+bool WireReader::materializeStaged() {
+  if (!StagedUndecoded)
+    return true;
+  StagedUndecoded = false;
+  // The payload is byte-identical to one that passed every check when it
+  // was first decoded (the header digest included), so only the routine
+  // itself runs again.
+  StagingBatch.clear();
+  std::optional<uint64_t> Count = decodePrologue(nullptr);
+  if (!Count || !decodeEventsInto(StagingBatch, *Count))
+    return false;
+  Staged = &StagingBatch;
+  StagedPos = 0;
   return true;
 }
 
@@ -260,10 +301,12 @@ bool WireReader::next(Event &E) {
   if (Failed)
     return false;
   if (Memo != MemoMode::Off) {
-    // Serve from the staged chunk (cache entry or cold-decoded batch).
-    while (!Staged || StagedPos == Staged->size())
+    // Serve from the staged chunk (cache entry or decoded batch).
+    while (stagedLeft() == 0)
       if (!stageChunk())
         return false;
+    if (!materializeStaged())
+      return false;
     E = Staged->Events[StagedPos++];
     ++NumEvents;
     return true;
@@ -291,11 +334,13 @@ size_t WireReader::nextBatch(EventBatch &B, size_t MaxEvents) {
     while (Appended != MaxEvents) {
       if (Failed)
         break;
-      if (!Staged || StagedPos == Staged->size()) {
+      if (stagedLeft() == 0) {
         if (!stageChunk())
           break;
         continue;
       }
+      if (!materializeStaged())
+        break;
       size_t Take = std::min(MaxEvents - Appended, Staged->size() - StagedPos);
       B.appendRange(*Staged, StagedPos, Take);
       StagedPos += Take;
@@ -339,6 +384,7 @@ bool WireReader::stageChunk() {
   OpenView = ChunkView{};
   Staged = nullptr;
   StagedPos = 0;
+  StagedUndecoded = false;
   bool WithDigest = (Flags & FlagChunkDigests) != 0;
   ChunkBase =
       FileOffset + (WithDigest ? DigestChunkHeaderSize : ChunkHeaderSize);
@@ -358,80 +404,58 @@ bool WireReader::stageChunk() {
     auto It = Cache.find(Digest);
     if (It != Cache.end() && It->second->Payload == Payload) {
       // Byte-identical to an already validated, already decoded payload:
-      // skip prologue, digest check and event decode wholesale. The full
-      // compare (memcpy speed, an order of magnitude faster than decode)
-      // is also what makes 64-bit digest collisions harmless.
-      Staged = &It->second->Batch;
+      // skip prologue, digest check and event decode. The full compare
+      // (memcpy speed, an order of magnitude faster than decode) is also
+      // what makes 64-bit digest collisions harmless.
+      const CacheEntry &Hit = *It->second;
       OpenView.VerifiedRepeat = true;
-      OpenView.Events = Staged->size();
+      OpenView.Events = Hit.Events;
       ++NumChunks;
       ++MemoHits;
-      MemoBytesSaved += Payload.size();
+      if (Memo == MemoMode::Full) {
+        // Decode waits until someone asks for the events; a summary
+        // replay never does.
+        StagedUndecoded = true;
+      } else {
+        Staged = &Hit.Batch;
+        MemoBytesSaved += Payload.size();
+      }
       return true;
     }
   }
 
   // Cold path: full validation + decode, like loadChunk, but events land
-  // in a staged self-contained batch (a new cache entry when cacheable).
-  Pos = 0;
-  PrevThread = 0;
-  PrevObject = 0;
-  PayloadBytes.add(Payload.size());
-  ByteReader R(reinterpret_cast<const uint8_t *>(Payload.data()),
-               Payload.size());
-  auto Count = R.varint();
-  if (!Count) {
-    fail("malformed chunk: bad event count");
+  // in a staged self-contained batch (a new cache entry's batch when
+  // Decode mode caches it).
+  std::optional<uint64_t> Count =
+      decodePrologue(WithDigest ? &Digest : nullptr);
+  if (!Count)
     return false;
-  }
-  if (!decodeSymbolTable(R, Syms)) {
-    fail("malformed chunk: bad symbol table");
-    return false;
-  }
-  Pos = R.offset();
-  if (WithDigest && !checkChunkDigest(Payload, Pos, Digest, ChunkBase, Diags,
-                                      Failed)) {
-    DigestErrors.inc();
-    return false;
-  }
-  SymbolCount.add(Syms.size());
   ++NumChunks;
   ++MemoMisses;
 
   std::unique_ptr<CacheEntry> NewEntry;
-  EventBatch *Dst = &StagingBatch;
-  if (WithDigest && CacheBytes < MemoCacheMaxBytes && !Cache.count(Digest)) {
+  if (WithDigest && CacheBytes < MemoCacheMaxBytes && !Cache.count(Digest))
     NewEntry = std::make_unique<CacheEntry>();
-    Dst = &NewEntry->Batch;
-  }
+  EventBatch *Dst = NewEntry && Memo == MemoMode::Decode ? &NewEntry->Batch
+                                                         : &StagingBatch;
   Dst->clear();
-
-  Event E = Event::txBegin(ThreadId(0)); // Overwritten by decodeEvent.
-  for (uint64_t Left = *Count; Left != 0; --Left) {
-    if (!decodeEvent(E, Dst->Values))
-      return false;
-    if (static_cast<uint8_t>(E.kind()) < SyncKindBound)
-      Dst->SyncPos.push_back(static_cast<uint32_t>(Dst->size()));
-    Dst->appendPinned(std::move(E));
-  }
-  if (Pos != Payload.size()) {
-    fail("malformed chunk: " + std::to_string(Payload.size() - Pos) +
-         " trailing payload bytes after last event");
+  if (!decodeEventsInto(*Dst, *Count))
     return false;
-  }
   OpenView.Events = Dst->size();
+  Staged = Dst;
   if (NewEntry) {
     NewEntry->Payload = Payload;
-    // Entry footprint estimate: payload + event/kind/sync vectors + pinned
-    // values. Good enough to bound the cache; exactness is not the point.
-    CacheBytes += NewEntry->Payload.size() +
-                  Dst->Events.size() * sizeof(Event) + Dst->Kinds.size() +
-                  Dst->SyncPos.size() * sizeof(uint32_t) +
-                  Dst->Values.bytesUsed();
-    Staged = Dst;
+    NewEntry->Events = Dst->size();
+    CacheBytes += NewEntry->Payload.size();
+    // Decode mode also holds the batch: event/kind/sync vectors plus
+    // pinned values. Good enough to bound the cache; exactness is not the
+    // point.
+    if (Memo == MemoMode::Decode)
+      CacheBytes += Dst->Events.size() * sizeof(Event) + Dst->Kinds.size() +
+                    Dst->SyncPos.size() * sizeof(uint32_t) +
+                    Dst->Values.bytesUsed();
     Cache.emplace(Digest, std::move(NewEntry));
-  } else {
-    Staged = Dst;
   }
   return true;
 }
@@ -439,13 +463,19 @@ bool WireReader::stageChunk() {
 std::optional<WireReader::ChunkView> WireReader::beginChunk() {
   if (Failed)
     return std::nullopt;
-  while (!Staged || StagedPos >= Staged->size())
+  while (stagedLeft() == 0)
     if (!stageChunk())
       return std::nullopt;
   return OpenView;
 }
 
 void WireReader::skipChunk() {
+  if (StagedUndecoded) {
+    StagedUndecoded = false;
+    NumEvents += OpenView.Events;
+    MemoBytesSaved += Payload.size();
+    return;
+  }
   if (!Staged)
     return;
   NumEvents += Staged->size() - StagedPos;
@@ -453,7 +483,7 @@ void WireReader::skipChunk() {
 }
 
 size_t WireReader::finishChunkInto(EventBatch &B) {
-  if (!Staged)
+  if (!materializeStaged() || !Staged)
     return 0;
   size_t N = Staged->size() - StagedPos;
   B.appendRange(*Staged, StagedPos, N);

@@ -60,18 +60,25 @@ struct WireReaderStats {
   uint64_t PayloadBytes = 0;    ///< Chunk payload bytes decoded (ex-headers).
   uint64_t Symbols = 0;         ///< Symbol-table entries across all chunks.
   uint64_t ArenaPeakBytes = 0;  ///< Peak per-chunk value-arena footprint.
-  uint64_t MemoHits = 0;        ///< Chunks served from the decode cache.
+  /// Chunks whose payload matched a cache entry byte for byte. Decode
+  /// mode serves them from the cached batch; Full mode stages them
+  /// undecoded and decodes only if the pipeline interprets them.
+  uint64_t MemoHits = 0;
   uint64_t MemoMisses = 0;      ///< Chunks cold-decoded while memoizing.
   uint64_t MemoBytesSaved = 0;  ///< Payload bytes whose decode was skipped.
   uint64_t MemoCacheEntries = 0;
-  uint64_t MemoCacheBytes = 0;  ///< Payload + decoded-batch bytes cached.
+  /// Bytes the cache holds: payloads, plus the decoded batches in Decode
+  /// mode (Full mode keeps payloads only).
+  uint64_t MemoCacheBytes = 0;
 };
 
 /// How aggressively the reader (and the pipeline above it) memoizes
 /// repeated chunks. Off = decode every chunk; Decode = digest-keyed decode
-/// cache (repeated payloads skip varint/delta decode); Full = Decode plus
-/// detector-level chunk summaries (StreamPipeline replays a sync-free
-/// chunk's race effects without materializing its events).
+/// cache (repeated payloads skip varint/delta decode by reusing the cached
+/// batch); Full = detector-level chunk summaries (StreamPipeline replays a
+/// sync-free chunk's race effects without materializing its events) over
+/// a payload-only verification index — a verified repeat is staged
+/// undecoded and decoded only if the pipeline has to interpret it.
 enum class MemoMode { Off, Decode, Full };
 
 /// Pull-based decoder over a binary trace stream.
@@ -117,15 +124,20 @@ public:
   //===--------------------------------------------------------------------===//
   // Chunk memoization (docs/trace-format.md, docs/observability.md).
   //
-  // With a MemoMode other than Off the reader works chunk-at-a-time: each
-  // chunk is staged as a fully built EventBatch — decoded cold, or recycled
-  // from a digest-keyed cache when the payload is byte-identical to one
-  // already decoded (the full-payload compare makes 64-bit digest
-  // collisions harmless). next()/nextBatch() then serve from the staged
-  // batch, so a repeated chunk skips varint/delta decode entirely. Cache
-  // entries are never evicted (insertion stops at a byte cap), so a digest
-  // maps to one payload for the reader's lifetime — the invariant the
-  // detector's summary table builds on.
+  // With a MemoMode other than Off the reader works chunk-at-a-time. Each
+  // chunk's payload is looked up in a digest-keyed cache; a hit is a
+  // payload byte-identical to one already validated and decoded (the
+  // full-payload compare makes 64-bit digest collisions harmless).
+  //  * Decode: the cache holds the decoded batch too, and a hit is served
+  //    from it, skipping varint/delta decode.
+  //  * Full: the cache holds payloads only. A hit is staged undecoded;
+  //    skipChunk() (summary replay) never decodes it, and next() /
+  //    nextBatch() / finishChunkInto() decode it on demand with the same
+  //    routine and checks as a cold chunk. Holding no decoded batches
+  //    keeps the cache at payload size.
+  // Cache entries are never evicted (insertion stops at a byte cap), so a
+  // digest maps to one payload for the reader's lifetime — the invariant
+  // the detector's summary table builds on.
   //===--------------------------------------------------------------------===//
 
   /// Must be set before the first next()/nextBatch() call.
@@ -150,11 +162,13 @@ public:
   std::optional<ChunkView> beginChunk();
 
   /// Discards the staged chunk's remaining events (the caller replayed
-  /// their effect from a summary instead of interpreting them).
+  /// their effect from a summary instead of interpreting them). A chunk
+  /// staged undecoded stays undecoded.
   void skipChunk();
 
   /// Appends the staged chunk's remaining events to \p B (self-contained,
-  /// sync index maintained) and returns how many were appended.
+  /// sync index maintained) and returns how many were appended (0 when
+  /// nothing is staged or an on-demand decode fails).
   size_t finishChunkInto(EventBatch &B);
 
   /// Metrics snapshot; valid any time, complete once decoding finished.
@@ -179,14 +193,33 @@ public:
 
 private:
   /// One immortal decode-cache entry: the exact payload bytes (the hit
-  /// verifier) and the chunk decoded as a self-contained batch.
+  /// verifier), its event count, and — in Decode mode only — the chunk
+  /// decoded as a self-contained batch.
   struct CacheEntry {
     std::string Payload;
+    size_t Events = 0;
     EventBatch Batch;
   };
 
   bool loadChunk();
   bool stageChunk();
+  /// Validates the prologue of Payload (event count, symbol table, and the
+  /// header digest when \p Digest is non-null), resets the per-chunk
+  /// decode state, and leaves Pos at the first event. Returns the event
+  /// count, or nullopt after diagnosing.
+  std::optional<uint64_t> decodePrologue(const uint64_t *Digest);
+  /// Decodes \p Count events from Pos into \p Dst (payloads pinned in its
+  /// arena, sync index extended) and checks the payload is consumed
+  /// exactly.
+  bool decodeEventsInto(EventBatch &Dst, uint64_t Count);
+  /// Decodes a chunk staged undecoded into StagingBatch. No-op otherwise.
+  bool materializeStaged();
+  /// Events of the staged chunk not yet handed out or skipped.
+  size_t stagedLeft() const {
+    if (StagedUndecoded)
+      return OpenView.Events;
+    return Staged ? Staged->size() - StagedPos : 0;
+  }
   bool decodeEvent(Event &E, Arena &Values);
   void fail(std::string Message);
 
@@ -213,17 +246,19 @@ private:
   metrics::Counter SymbolCount;
   uint64_t ArenaPeak = 0;
 
-  /// Memoization state. Staged points at the cache entry's batch on a hit
-  /// or at StagingBatch after a cold decode; unique_ptr entries keep batch
-  /// addresses stable across rehash. Insertion stops once CacheBytes
-  /// crosses MemoCacheMaxBytes — never evict, so digest→payload→batch
-  /// stays immutable for the reader's lifetime.
+  /// Memoization state. Staged points at the cache entry's batch on a
+  /// Decode-mode hit or at StagingBatch after a decode; unique_ptr entries
+  /// keep batch addresses stable across rehash. StagedUndecoded marks a
+  /// Full-mode hit whose events still sit encoded in Payload. Insertion
+  /// stops once CacheBytes crosses MemoCacheMaxBytes — never evict, so
+  /// digest→payload stays immutable for the reader's lifetime.
   static constexpr size_t MemoCacheMaxBytes = size_t(256) << 20;
   MemoMode Memo = MemoMode::Off;
   std::unordered_map<uint64_t, std::unique_ptr<CacheEntry>> Cache;
   size_t CacheBytes = 0;
   const EventBatch *Staged = nullptr;
   size_t StagedPos = 0;
+  bool StagedUndecoded = false;
   EventBatch StagingBatch;
   ChunkView OpenView;
   /// Memo counters: always live (bench bars and tests read them in

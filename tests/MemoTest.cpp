@@ -10,7 +10,9 @@
 /// bit-identical under every --memo mode × backend × batch size, a
 /// corrupted digest fails like a corrupted CRC, sync churn forces 100%
 /// fallback without changing the report, legacy digest-less files still
-/// decode, and the crd CLI validates --memo end to end.
+/// decode, the crd CLI validates --memo end to end and memoizes when it
+/// reads a file, and Full mode's on-demand decode of verified repeats
+/// keeps counters, diagnostics and races exact.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -22,11 +24,15 @@
 #include "wire/StreamPipeline.h"
 #include "wire/WireFormat.h"
 #include "wire/WireReader.h"
+#include "support/Hashing.h"
+#include "wire/Crc32.h"
 #include "wire/WireWriter.h"
 #include "workloads/RepetitiveTrace.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
 #include <fstream>
 #include <map>
 #include <set>
@@ -63,13 +69,12 @@ struct AnalyzeResult {
   WireReaderStats Reader;
 };
 
-AnalyzeResult analyzeWire(const std::string &Wire, PipelineOptions Opts) {
+/// Runs \p Opts over a binary \p Source with the dictionary spec.
+AnalyzeResult analyzeSource(EventSource &Source, const DiagnosticEngine &Diags,
+                            PipelineOptions Opts) {
   DiagnosticEngine SpecDiags;
   auto Rep = translateSpec(dictionarySpec(), SpecDiags);
   EXPECT_TRUE(Rep) << SpecDiags.toString();
-  std::istringstream In(Wire);
-  DiagnosticEngine Diags;
-  BinaryStreamSource Source(In, Diags);
   StreamPipeline P(Opts);
   P.setDefaultProvider(Rep.get());
   AnalyzeResult R;
@@ -77,14 +82,68 @@ AnalyzeResult analyzeWire(const std::string &Wire, PipelineOptions Opts) {
   EXPECT_FALSE(Source.failed()) << Diags.toString();
   R.Races = P.races();
   R.Memo = P.memoStats();
-  R.Reader = Source.reader().stats();
+  R.Reader = Source.wireReader()->stats();
   return R;
+}
+
+AnalyzeResult analyzeWire(const std::string &Wire, PipelineOptions Opts) {
+  std::istringstream In(Wire);
+  DiagnosticEngine Diags;
+  BinaryStreamSource Source(In, Diags);
+  return analyzeSource(Source, Diags, Opts);
 }
 
 std::optional<WireFileInfo> scanString(const std::string &Wire) {
   std::istringstream In(Wire);
   DiagnosticEngine Diags;
   return scanWire(In, Diags);
+}
+
+/// The integer after the first `"Key": ` in a JSON document (0 if absent).
+uint64_t jsonCount(const std::string &Doc, const std::string &Key) {
+  size_t At = Doc.find("\"" + Key + "\": ");
+  if (At == std::string::npos)
+    return 0;
+  return std::stoull(Doc.substr(At + Key.size() + 4));
+}
+
+std::string writeFile(const std::string &Name, const std::string &Bytes) {
+  std::string Path = testing::TempDir() + Name;
+  std::ofstream OS(Path, std::ios::binary);
+  OS << Bytes;
+  EXPECT_TRUE(OS.good());
+  return Path;
+}
+
+void putU32le(std::string &Bytes, size_t At, uint32_t V) {
+  for (unsigned I = 0; I != 4; ++I)
+    Bytes[At + I] = static_cast<char>((V >> (8 * I)) & 0xff);
+}
+
+/// Runs \p Opts over the file at \p Path through openEventSource, the way
+/// `crd check` reads it.
+AnalyzeResult analyzeFile(const std::string &Path, PipelineOptions Opts) {
+  DiagnosticEngine Diags;
+  std::unique_ptr<EventSource> Source = openEventSource(Path, Diags);
+  EXPECT_TRUE(Source && Source->wireReader()) << Diags.toString();
+  if (!Source || !Source->wireReader())
+    return AnalyzeResult{};
+  return analyzeSource(*Source, Diags, Opts);
+}
+
+/// Drains a reader with next(); returns the diagnostics.
+std::string drainDiagnostics(const std::string &Wire, MemoMode Memo,
+                             WireReaderStats *Stats) {
+  std::istringstream In(Wire);
+  DiagnosticEngine Diags;
+  WireReader Reader(In, Diags);
+  Reader.setMemoMode(Memo);
+  Event E = Event::txBegin(ThreadId(0));
+  while (Reader.next(E))
+    ;
+  EXPECT_TRUE(Reader.failed());
+  *Stats = Reader.stats();
+  return Diags.toString();
 }
 
 } // namespace
@@ -312,12 +371,15 @@ TEST(MemoTest, CliMemoSurface) {
   }
 
   {
+    // Reading the file must actually memoize: the decode cache verifies
+    // repeats and the summary layer replays some of them.
     std::ostringstream Out, Err;
     int RC = cli::crdMain({"profile", Path, "--memo=full"}, Out, Err);
     EXPECT_EQ(RC, 0) << Err.str();
     EXPECT_NE(Out.str().find("\"mode\": \"full\""), std::string::npos)
         << Out.str();
-    EXPECT_NE(Out.str().find("\"summary_hits\""), std::string::npos);
+    EXPECT_GT(jsonCount(Out.str(), "summary_hits"), 0u) << Out.str();
+    EXPECT_GT(jsonCount(Out.str(), "memo_hits"), 0u) << Out.str();
   }
 
   {
@@ -334,5 +396,214 @@ TEST(MemoTest, CliMemoSurface) {
     }
     EXPECT_EQ(Reports[0], Reports[1]);
     EXPECT_EQ(Reports[0], Reports[2]);
+  }
+}
+
+//===----------------------------------------------------------------------===//
+// MemoMode::Full decodes a verified repeat only on demand. These pin the
+// edges of that: fallback from a file, counters under interleaved
+// skip/finish, a forged repeat, and empty chunks.
+//===----------------------------------------------------------------------===//
+
+// The SyncEveryBodies adversary read from a file: every verified repeat
+// falls back to interpretation (decoded on demand), and the races equal
+// memo=off bit for bit, in-process and through the CLI.
+TEST(MemoTest, FileFallbackDecodesOnDemand) {
+  RepetitiveTraceConfig C = smallConfig();
+  C.SyncEveryBodies = 1;
+  size_t Events = 0;
+  std::string Path = writeFile("memo_fallback.crdb", repetitiveWire(C, &Events));
+
+  AnalyzeResult Off = analyzeFile(Path, PipelineOptions{});
+  PipelineOptions FullOpts;
+  FullOpts.Memo = MemoMode::Full;
+  AnalyzeResult Full = analyzeFile(Path, FullOpts);
+  EXPECT_EQ(Full.Summary.Events, Events);
+  EXPECT_GT(Full.Races.size(), 0u);
+  EXPECT_TRUE(Full.Races == Off.Races);
+  EXPECT_EQ(Full.Memo.SummaryHits, 0u);
+  EXPECT_GT(Full.Reader.MemoHits, 0u);
+  // Nothing was replayed, so every hit was decoded after all.
+  EXPECT_EQ(Full.Reader.MemoBytesSaved, 0u);
+  EXPECT_EQ(Full.Reader.Events, Events);
+
+  std::string Reports[2];
+  const char *Modes[2] = {"--memo=off", "--memo=full"};
+  for (int I = 0; I != 2; ++I) {
+    std::ostringstream Out, Err;
+    EXPECT_EQ(cli::crdMain({"check", Path, Modes[I]}, Out, Err), 1)
+        << Err.str();
+    Reports[I] = Out.str();
+  }
+  EXPECT_EQ(Reports[0], Reports[1]);
+  std::remove(Path.c_str());
+}
+
+// skipChunk (undecoded), finishChunkInto (decoded on demand) and partial
+// next() pulls, interleaved: event and chunk counters stay exact, and what
+// is handed out matches a plain decode at those positions (kinds, threads,
+// sync index).
+TEST(MemoTest, InterleavedSkipAndFinishKeepCountsExact) {
+  size_t Events = 0;
+  std::string Wire = repetitiveWire(smallConfig(), &Events);
+  auto Info = scanString(Wire);
+  ASSERT_TRUE(Info);
+
+  std::istringstream PlainIn(Wire);
+  DiagnosticEngine PlainDiags;
+  WireReader PlainReader(PlainIn, PlainDiags);
+  EventBatch PlainBatch;
+  while (PlainReader.nextBatch(PlainBatch, 4096)) {
+  }
+  ASSERT_EQ(PlainBatch.size(), Events);
+
+  std::istringstream In(Wire);
+  DiagnosticEngine Diags;
+  WireReader Reader(In, Diags);
+  Reader.setMemoMode(MemoMode::Full);
+  size_t Pos = 0, Chunk = 0, Skipped = 0, Finished = 0;
+  while (std::optional<WireReader::ChunkView> View = Reader.beginChunk()) {
+    ASSERT_EQ(View->Events, Info->Chunks[Chunk].Events);
+    size_t Begin = Pos;
+    switch (Chunk++ % 4) {
+    case 0: // Skip outright (undecoded when it is a repeat).
+      Reader.skipChunk();
+      ++Skipped;
+      break;
+    case 1: { // Finish whole.
+      EventBatch B;
+      ASSERT_EQ(Reader.finishChunkInto(B), View->Events);
+      for (size_t I = 0; I != B.size(); ++I)
+        EXPECT_EQ(B.Kinds[I], PlainBatch.Kinds[Begin + I]);
+      ++Finished;
+      break;
+    }
+    case 2: { // One event by next(), then finish the rest.
+      Event E = Event::txBegin(ThreadId(0));
+      ASSERT_TRUE(Reader.next(E));
+      EXPECT_EQ(E.kind(), PlainBatch.Events[Begin].kind());
+      EventBatch B;
+      ASSERT_EQ(Reader.finishChunkInto(B), View->Events - 1);
+      EXPECT_EQ(B.SyncPos.size() + (E.kind() < EventKind::Invoke),
+                std::count_if(PlainBatch.Kinds.begin() + Begin,
+                              PlainBatch.Kinds.begin() + Begin + View->Events,
+                              [](uint8_t K) { return K < SyncKindBound; }));
+      ++Finished;
+      break;
+    }
+    case 3: { // One event by next(), then skip the rest.
+      Event E = Event::txBegin(ThreadId(0));
+      ASSERT_TRUE(Reader.next(E));
+      EXPECT_EQ(E.thread(), PlainBatch.Events[Begin].thread());
+      Reader.skipChunk();
+      ++Skipped;
+      break;
+    }
+    }
+    Pos += View->Events;
+    EXPECT_EQ(Reader.eventsRead(), Pos);
+  }
+  EXPECT_FALSE(Reader.failed()) << Diags.toString();
+  EXPECT_GT(Skipped, 0u);
+  EXPECT_GT(Finished, 0u);
+  EXPECT_EQ(Pos, Events);
+  EXPECT_EQ(Reader.eventsRead(), Events);
+  WireReaderStats S = Reader.stats();
+  EXPECT_EQ(S.Events, Events);
+  EXPECT_EQ(S.Chunks, Info->Chunks.size());
+  EXPECT_EQ(S.MemoHits + S.MemoMisses, Info->Chunks.size());
+  EXPECT_GT(S.MemoHits, 0u);
+  EXPECT_GT(S.MemoBytesSaved, 0u);
+  // Full mode holds payloads only.
+  size_t DistinctPayloads = 0;
+  std::set<uint64_t> Digests;
+  for (const WireChunkInfo &Ch : Info->Chunks)
+    if (Digests.insert(Ch.Digest).second)
+      DistinctPayloads += Ch.PayloadBytes;
+  EXPECT_EQ(S.MemoCacheEntries, Digests.size());
+  EXPECT_EQ(S.MemoCacheBytes, DistinctPayloads);
+}
+
+// A repeat whose header digest matches a cached chunk but whose payload
+// differs in one byte (CRC recomputed so it passes) fails the payload
+// compare, takes the cold path, and is diagnosed exactly as without memo.
+TEST(MemoTest, ForgedRepeatTakesColdPath) {
+  std::string Wire = repetitiveWire(smallConfig());
+  auto Info = scanString(Wire);
+  ASSERT_TRUE(Info);
+  std::set<uint64_t> Seen;
+  const WireChunkInfo *Repeat = nullptr;
+  for (const WireChunkInfo &Ch : Info->Chunks)
+    if (!Seen.insert(Ch.Digest).second) {
+      Repeat = &Ch;
+      break;
+    }
+  ASSERT_TRUE(Repeat);
+  size_t PayloadAt = Repeat->Offset + DigestChunkHeaderSize;
+  Wire[PayloadAt + Repeat->PayloadBytes - 1] ^= 0x01; // An event byte.
+  putU32le(Wire, Repeat->Offset + 4,
+           crc32(Wire.data() + PayloadAt, Repeat->PayloadBytes));
+
+  WireReaderStats OffStats, FullStats, DecodeStats;
+  std::string OffDiag = drainDiagnostics(Wire, MemoMode::Off, &OffStats);
+  std::string FullDiag = drainDiagnostics(Wire, MemoMode::Full, &FullStats);
+  std::string DecodeDiag =
+      drainDiagnostics(Wire, MemoMode::Decode, &DecodeStats);
+  EXPECT_NE(OffDiag.find("chunk digest mismatch"), std::string::npos)
+      << OffDiag;
+  EXPECT_EQ(FullDiag, OffDiag);
+  EXPECT_EQ(DecodeDiag, OffDiag);
+  for (const WireReaderStats *S : {&OffStats, &FullStats, &DecodeStats}) {
+    EXPECT_EQ(S->DigestErrors, 1u);
+    EXPECT_EQ(S->CrcErrors, 0u);
+  }
+}
+
+// Zero-event chunks (a first occurrence and a verified repeat) decode in
+// every mode without disturbing events, counters or races.
+TEST(MemoTest, ZeroEventChunksInEveryMode) {
+  size_t Events = 0;
+  std::string Wire = repetitiveWire(smallConfig(), &Events);
+  auto Info = scanString(Wire);
+  ASSERT_TRUE(Info);
+  ASSERT_GE(Info->Chunks.size(), 3u);
+
+  // Payload: event count 0, symbol count 0; no event bytes.
+  std::string Payload("\0\0", 2);
+  uint64_t Digest = hashBytes64(Payload.data() + Payload.size(), 0);
+  std::string Empty(DigestChunkHeaderSize, '\0');
+  putU32le(Empty, 0, static_cast<uint32_t>(Payload.size()));
+  putU32le(Empty, 4, crc32(Payload.data(), Payload.size()));
+  for (unsigned I = 0; I != 8; ++I)
+    Empty[8 + I] = static_cast<char>((Digest >> (8 * I)) & 0xff);
+  Empty += Payload;
+
+  // One after the prelude, one before the last chunk, one at the end.
+  std::string Padded = Wire;
+  Padded.insert(Info->Chunks.back().Offset, Empty);
+  Padded.insert(Info->Chunks[1].Offset, Empty);
+  Padded += Empty;
+
+  AnalyzeResult Baseline = analyzeWire(Wire, PipelineOptions{});
+  for (MemoMode Memo : {MemoMode::Off, MemoMode::Decode, MemoMode::Full}) {
+    SCOPED_TRACE(testing::Message() << "memo=" << int(Memo));
+    PipelineOptions Opts;
+    Opts.Memo = Memo;
+    AnalyzeResult R = analyzeWire(Padded, Opts);
+    EXPECT_EQ(R.Summary.Events, Events);
+    EXPECT_EQ(R.Reader.Events, Events);
+    EXPECT_EQ(R.Reader.Chunks, Info->Chunks.size() + 3);
+    EXPECT_TRUE(R.Races == Baseline.Races);
+
+    std::istringstream In(Padded);
+    DiagnosticEngine Diags;
+    WireReader Reader(In, Diags);
+    Reader.setMemoMode(Memo);
+    Event E = Event::txBegin(ThreadId(0));
+    size_t N = 0;
+    while (Reader.next(E))
+      ++N;
+    EXPECT_FALSE(Reader.failed()) << Diags.toString();
+    EXPECT_EQ(N, Events);
   }
 }

@@ -13,7 +13,9 @@
 ///     bad magic and unknown versions with a diagnostic, never a crash;
 ///   * scanWire reports the chunk shape without decoding events;
 ///   * WireSink records a live SimRuntime execution bit-equal to the
-///     TraceRecorder + writeTrace path.
+///     TraceRecorder + writeTrace path;
+///   * openEventSource yields the same batches from a file as an in-memory
+///     BinaryStreamSource, and still opens text traces as text.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -29,6 +31,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
 #include <sstream>
 
 using namespace crd;
@@ -390,6 +394,103 @@ TEST(EventSourceTest, WireSinkMatchesRecorder) {
   ASSERT_EQ(Decoded.size(), Recorder.trace().size());
   for (size_t I = 0; I != Decoded.size(); ++I)
     expectEventEq(Recorder.trace()[I], Decoded[I], I);
+}
+
+namespace {
+
+/// Writes \p Bytes to a fresh file under the test temp dir.
+std::string writeTempFile(const std::string &Name, const std::string &Bytes) {
+  std::string Path = testing::TempDir() + Name;
+  std::ofstream OS(Path, std::ios::binary);
+  OS << Bytes;
+  EXPECT_TRUE(OS.good());
+  return Path;
+}
+
+/// Drains \p Source in nextBatch pulls of \p MaxEvents, one fresh batch
+/// per pull.
+std::vector<EventBatch> pullBatches(EventSource &Source, size_t MaxEvents) {
+  std::vector<EventBatch> Out;
+  while (true) {
+    EventBatch B;
+    if (Source.nextBatch(B, MaxEvents) == 0)
+      break;
+    Out.push_back(std::move(B));
+  }
+  EXPECT_FALSE(Source.failed());
+  return Out;
+}
+
+} // namespace
+
+// openEventSource must hand back the decoder's own batch path, not a
+// wrapper that falls back to next(): batches pulled from a file equal
+// those of a BinaryStreamSource over the same bytes in memory — events,
+// kind bytes and sync index — at every batch size, with batches crossing
+// chunk boundaries.
+TEST(EventSourceTest, OpenedWireFileMatchesInMemoryBatches) {
+  Trace T = testgen::randomTrace(17, 4, 60, 5);
+  ASSERT_GT(T.size(), 64u);
+  std::string Bytes = encode(T, 13);
+  std::string Path = writeTempFile("opened_wire_file.crdb", Bytes);
+
+  for (size_t MaxEvents : {size_t(1), size_t(7), size_t(4096)}) {
+    SCOPED_TRACE(testing::Message() << "nextBatch(B, " << MaxEvents << ")");
+    DiagnosticEngine FileDiags;
+    std::unique_ptr<EventSource> File = openEventSource(Path, FileDiags);
+    ASSERT_TRUE(File);
+    ASSERT_NE(File->wireReader(), nullptr);
+    ASSERT_NE(File->memoReader(), nullptr);
+    std::istringstream In(Bytes);
+    DiagnosticEngine MemDiags;
+    BinaryStreamSource Mem(In, MemDiags);
+
+    std::vector<EventBatch> FromFile = pullBatches(*File, MaxEvents);
+    std::vector<EventBatch> FromMem = pullBatches(Mem, MaxEvents);
+    ASSERT_EQ(FromFile.size(), FromMem.size());
+    size_t Seen = 0;
+    for (size_t I = 0; I != FromFile.size(); ++I) {
+      const EventBatch &A = FromFile[I], &B = FromMem[I];
+      ASSERT_EQ(A.size(), B.size()) << "batch " << I;
+      for (size_t J = 0; J != A.size(); ++J) {
+        expectEventEq(A.Events[J], B.Events[J], Seen + J);
+        expectEventEq(A.Events[J], T[Seen + J], Seen + J);
+      }
+      EXPECT_EQ(A.Kinds, B.Kinds) << "batch " << I;
+      EXPECT_EQ(A.SyncPos, B.SyncPos) << "batch " << I;
+      Seen += A.size();
+    }
+    EXPECT_EQ(Seen, T.size());
+    EXPECT_EQ(File->wireReader()->stats().Chunks, Mem.reader().stats().Chunks);
+  }
+  std::remove(Path.c_str());
+}
+
+// A file without the wire magic still opens as a text trace.
+TEST(EventSourceTest, OpenedTextFileStreamsAsText) {
+  Trace T = testgen::randomTrace(5, 3, 20, 4);
+  std::string Path = writeTempFile("opened_text_file.trace",
+                                   "# comment\n" + traceToString(T));
+  DiagnosticEngine Diags;
+  std::unique_ptr<EventSource> Source = openEventSource(Path, Diags);
+  ASSERT_TRUE(Source);
+  EXPECT_EQ(Source->wireReader(), nullptr);
+  EXPECT_EQ(Source->memoReader(), nullptr);
+  std::vector<EventBatch> Batches = pullBatches(*Source, 7);
+  size_t Seen = 0;
+  for (const EventBatch &B : Batches)
+    for (const Event &E : B.Events) {
+      ASSERT_LT(Seen, T.size());
+      expectEventEq(E, T[Seen], Seen);
+      ++Seen;
+    }
+  EXPECT_EQ(Seen, T.size());
+  EXPECT_FALSE(Diags.hasErrors()) << Diags.toString();
+  std::remove(Path.c_str());
+
+  DiagnosticEngine MissingDiags;
+  EXPECT_FALSE(openEventSource(Path, MissingDiags));
+  EXPECT_TRUE(MissingDiags.hasErrors());
 }
 
 //===----------------------------------------------------------------------===//
