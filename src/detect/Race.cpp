@@ -6,31 +6,15 @@
 
 #include "detect/Race.h"
 
+#include "support/TextAppend.h"
+
 #include <ostream>
-#include <sstream>
 
 using namespace crd;
 
-std::string CommutativityRace::toString() const {
-  std::ostringstream OS;
-  OS << *this;
-  return OS.str();
-}
+namespace {
 
-std::string MemoryRace::toString() const {
-  std::ostringstream OS;
-  OS << *this;
-  return OS.str();
-}
-
-std::ostream &crd::operator<<(std::ostream &OS, const CommutativityRace &R) {
-  return OS << "commutativity race at event " << R.EventIndex << ": T"
-            << R.Thread.index() << " performs " << R.Current
-            << " conflicting on " << R.PointName << " (prior " << R.PriorClock
-            << " || current " << R.CurrentClock << ")";
-}
-
-static const char *kindName(MemoryRace::Kind K) {
+const char *kindName(MemoryRace::Kind K) {
   switch (K) {
   case MemoryRace::Kind::WriteWrite:
     return "write-write";
@@ -42,8 +26,56 @@ static const char *kindName(MemoryRace::Kind K) {
   return "race";
 }
 
+template <typename RaceT> std::string render(const RaceT &R) {
+  std::string Out;
+  appendRace(Out, R);
+  return Out;
+}
+
+template <typename RaceT>
+std::ostream &print(std::ostream &OS, const RaceT &R) {
+  std::string Text = render(R);
+  return OS.write(Text.data(), static_cast<std::streamsize>(Text.size()));
+}
+
+} // namespace
+
+void crd::appendRace(std::string &Out, const CommutativityRace &R) {
+  Out += "commutativity race at event ";
+  appendDecimal(Out, R.EventIndex);
+  Out += ": T";
+  appendDecimal(Out, R.Thread.index());
+  Out += " performs ";
+  appendAction(Out, R.Current);
+  Out += " conflicting on ";
+  Out += R.PointName;
+  Out += " (prior ";
+  appendVectorClock(Out, R.PriorClock);
+  Out += " || current ";
+  appendVectorClock(Out, R.CurrentClock);
+  Out += ')';
+}
+
+void crd::appendRace(std::string &Out, const MemoryRace &R) {
+  Out += kindName(R.Access);
+  Out += " race at event ";
+  appendDecimal(Out, R.EventIndex);
+  Out += " on V";
+  appendDecimal(Out, R.Var.index());
+  Out += " between T";
+  appendDecimal(Out, R.PriorThread.index());
+  Out += " and T";
+  appendDecimal(Out, R.CurrentThread.index());
+}
+
+std::string CommutativityRace::toString() const { return render(*this); }
+
+std::string MemoryRace::toString() const { return render(*this); }
+
+std::ostream &crd::operator<<(std::ostream &OS, const CommutativityRace &R) {
+  return print(OS, R);
+}
+
 std::ostream &crd::operator<<(std::ostream &OS, const MemoryRace &R) {
-  return OS << kindName(R.Access) << " race at event " << R.EventIndex
-            << " on V" << R.Var.index() << " between T"
-            << R.PriorThread.index() << " and T" << R.CurrentThread.index();
+  return print(OS, R);
 }

@@ -9,6 +9,13 @@
 /// races are counted both in total and as distinct racy entities (objects
 /// for RD2, memory locations for FastTrack).
 ///
+/// Each record has one printed form, written by appendRace() on top of the
+/// appendValue / appendAction / appendVectorClock helpers. `crd check`,
+/// `crd analyze` and the serve daemon's race lines all use it, and the
+/// stream operators and toString() below are wrappers over it, so there is
+/// no second spelling to drift. The bytes are part of the tool's output
+/// contract: tests/RaceFormatTest.cpp pins them.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef CRD_DETECT_RACE_H
@@ -23,14 +30,17 @@
 namespace crd {
 
 /// A commutativity race (paper Def 4.3) found by Algorithm 1 or by the
-/// direct baseline detector.
+/// direct baseline detector. The record is self-contained: it owns a deep
+/// copy of the current action and both clocks, so it outlives the decode
+/// arena and the provider that produced it.
 struct CommutativityRace {
   size_t EventIndex = 0;   ///< Position of the current (second) event.
   ThreadId Thread;         ///< Thread of the current event.
   Action Current;          ///< The action of the current event.
-  /// Conflicting access point class (debug name). Owned: race reports
-  /// outlive the provider whose className() they copy from (class names
-  /// are short, so the copy is SSO — no heap traffic on the hot path).
+  /// What the current action conflicts with. Algorithm 1 copies the
+  /// conflicting access point class's debug name from the provider
+  /// (className(); see appendRace() for an example); the direct baseline
+  /// detector names the prior action instead (`action o1.put(..)`).
   std::string PointName;
   VectorClock PriorClock;  ///< Accumulated clock of the conflicting point.
   VectorClock CurrentClock;
@@ -48,6 +58,7 @@ struct CommutativityRace {
     return !(A == B);
   }
 
+  /// The printed form; see appendRace().
   std::string toString() const;
 };
 
@@ -61,8 +72,22 @@ struct MemoryRace {
   ThreadId PriorThread;
   ThreadId CurrentThread;
 
+  /// The printed form; see appendRace().
   std::string toString() const;
 };
+
+/// Appends the one-line report for \p R, without a trailing newline:
+///
+///   commutativity race at event 3: T1 performs o1.put("a.com", 200)/100
+///   conflicting on put{!(x2 == x3),!(nil == x2),!(nil == x3)}:1
+///   (prior <0,0,1> || current <1,1>)
+///
+/// (one line; wrapped here). Locale-free and allocation-free once \p Out
+/// has capacity, so callers that print many races reuse one buffer.
+void appendRace(std::string &Out, const CommutativityRace &R);
+
+/// Appends e.g. `write-read race at event 9 on V3 between T1 and T2`.
+void appendRace(std::string &Out, const MemoryRace &R);
 
 std::ostream &operator<<(std::ostream &OS, const CommutativityRace &R);
 std::ostream &operator<<(std::ostream &OS, const MemoryRace &R);

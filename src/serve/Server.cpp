@@ -243,6 +243,7 @@ void Server::acceptReady(int ListenFd) {
       Live[C.Sess->id()] = C.Sess;
     }
     Conns.push_back(std::move(C));
+    TrimPending = true;
   }
 }
 
@@ -320,6 +321,8 @@ void Server::closeConn(size_t Index) {
   }
   closeIfOpen(C.Fd);
   Conns.erase(Conns.begin() + static_cast<ptrdiff_t>(Index));
+  if (Conns.empty())
+    IdleSinceNs = monotonicNs();
 }
 
 void Server::beginDrain() {
@@ -358,6 +361,17 @@ void Server::sweepIdle(uint64_t NowNs) {
       ++Totals.SessionsFailed;
     }
   }
+}
+
+void Server::trimHeapIfIdle(uint64_t NowNs) {
+  if (!TrimPending || !Conns.empty() || NowNs - IdleSinceNs < TrimIdleNs)
+    return;
+  TrimPending = false;
+#if defined(__GLIBC__)
+  ::malloc_trim(0);
+  std::lock_guard<std::mutex> Lock(StatsMu);
+  ++Totals.HeapTrims;
+#endif
 }
 
 void Server::run() {
@@ -412,6 +426,14 @@ void Server::ioRound(std::vector<pollfd> &Fds) {
   if (Opts.IdleTimeoutMs)
     TimeoutMs = static_cast<int>(
         std::min<uint64_t>(1000, std::max<uint64_t>(10, Opts.IdleTimeoutMs / 4)));
+  if (TrimPending && Conns.empty()) {
+    // Wake up when the idle period is long enough to trim the heap.
+    uint64_t Idle = monotonicNs() - IdleSinceNs;
+    int TrimMs = Idle >= TrimIdleNs
+                     ? 0
+                     : static_cast<int>((TrimIdleNs - Idle + 999999) / 1000000);
+    TimeoutMs = TimeoutMs < 0 ? TrimMs : std::min(TimeoutMs, TrimMs);
+  }
   int N = ::poll(Fds.data(), Fds.size(), TimeoutMs);
   if (N < 0 && errno != EINTR)
     return;
@@ -460,6 +482,8 @@ void Server::ioRound(std::vector<pollfd> &Fds) {
     if (C.Sess->done() && C.OutPending.empty() && !C.Sess->hasOutput())
       closeConn(I - 1);
   }
+
+  trimHeapIfIdle(monotonicNs());
 }
 
 ServeMetrics Server::metricsSnapshot() {
@@ -497,6 +521,7 @@ void Server::writeStatusJson(std::ostream &OS) {
   W.field("races_total", M.RacesTotal);
   W.field("dropped_chunks_total", M.DroppedChunksTotal);
   W.field("heap_live_bytes", M.HeapLiveBytes);
+  W.field("heap_trims", M.HeapTrims);
   W.key("sessions");
   W.beginArray();
   for (const SessionMetricsSnapshot &S : M.Sessions) {

@@ -73,6 +73,7 @@ struct ServeMetrics {
   uint64_t RacesTotal = 0;
   uint64_t DroppedChunksTotal = 0;
   uint64_t HeapLiveBytes = 0; ///< Allocated, not yet freed (0 off glibc).
+  uint64_t HeapTrims = 0;     ///< Idle-period malloc_trim calls.
   std::vector<SessionMetricsSnapshot> Sessions; ///< Live sessions only.
 };
 
@@ -129,6 +130,7 @@ private:
   void scheduleSession(const std::shared_ptr<Session> &S);
   void beginDrain();
   void sweepIdle(uint64_t NowNs);
+  void trimHeapIfIdle(uint64_t NowNs);
   void wakeIo();
   void workerLoop();
   void collectSpans(Session &S);
@@ -143,6 +145,14 @@ private:
   std::atomic<bool> StopRequested{false};
   bool Draining = false;
   uint64_t StartNs = 0;
+
+  /// Idle heap trim: once sessions have run and the daemon then has had no
+  /// open connection for TrimIdleNs, hand the free heap back to the OS
+  /// (glibc keeps what worker threads freed in their arenas). I/O thread
+  /// only.
+  static constexpr uint64_t TrimIdleNs = 1000000000; // 1 s.
+  bool TrimPending = false; ///< A session ran since the last trim.
+  uint64_t IdleSinceNs = 0; ///< When the last connection closed.
 
   /// Connection table; I/O thread only.
   std::vector<Conn> Conns;

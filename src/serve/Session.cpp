@@ -6,6 +6,7 @@
 
 #include "serve/Session.h"
 
+#include "detect/Race.h"
 #include "support/Metrics.h"
 #include "wire/WireFormat.h"
 
@@ -302,26 +303,19 @@ bool Session::handleHandshake() {
   Pipeline = std::make_unique<wire::StreamPipeline>(Opts);
   if (Config.TheBackend != wire::Backend::FastTrack && Provider)
     Pipeline->setDefaultProvider(Provider);
-  Pipeline->setRaceCallback([this](const CommutativityRace &R) {
-    std::ostringstream OS;
-    OS << R;
+  // One JSON line per finding; the text is `crd check`'s race line.
+  auto EmitRace = [this](const auto &R) {
+    std::string Text;
+    appendRace(Text, R);
     std::string Line = "{\"type\":\"race\",\"index\":";
     Line += std::to_string(RaceLines++);
     Line += ",\"text\":\"";
-    appendJsonEscaped(Line, OS.str());
+    appendJsonEscaped(Line, Text);
     Line += "\"}";
     emitLine(std::move(Line));
-  });
-  Pipeline->setMemoryRaceCallback([this](const MemoryRace &R) {
-    std::ostringstream OS;
-    OS << R;
-    std::string Line = "{\"type\":\"race\",\"index\":";
-    Line += std::to_string(RaceLines++);
-    Line += ",\"text\":\"";
-    appendJsonEscaped(Line, OS.str());
-    Line += "\"}";
-    emitLine(std::move(Line));
-  });
+  };
+  Pipeline->setRaceCallback(EmitRace);
+  Pipeline->setMemoryRaceCallback(EmitRace);
   std::string Hello = "{\"type\":\"hello\",\"session\":";
   Hello += std::to_string(Id);
   Hello += ",\"detector\":\"";

@@ -113,7 +113,8 @@ public:
   void assign(const T *Src, size_t Count) {
     if (Count > Cap)
       grow(Count);
-    std::memcpy(Data, Src, Count * sizeof(T));
+    if (Count != 0) // An empty source may be null, which memcpy forbids.
+      std::memcpy(Data, Src, Count * sizeof(T));
     Len = static_cast<uint32_t>(Count);
   }
 

@@ -6,49 +6,59 @@
 
 #include "support/Value.h"
 
+#include "support/TextAppend.h"
+
 #include <ostream>
-#include <sstream>
 
 using namespace crd;
 
 std::string Value::toString() const {
-  std::ostringstream OS;
-  OS << *this;
-  return OS.str();
+  std::string Out;
+  appendValue(Out, *this);
+  return Out;
 }
 
-std::ostream &crd::operator<<(std::ostream &OS, const Value &V) {
+void crd::appendValue(std::string &Out, const Value &V) {
   switch (V.kind()) {
   case Value::Kind::Nil:
-    return OS << "nil";
+    Out += "nil";
+    return;
   case Value::Kind::Bool:
-    return OS << (V.asBool() ? "true" : "false");
+    Out += V.asBool() ? "true" : "false";
+    return;
   case Value::Kind::Int:
-    return OS << V.asInt();
+    appendDecimal(Out, V.asInt());
+    return;
   case Value::Kind::Str: {
     // Escape exactly what the trace lexer unescapes, so printed values
     // re-parse to the same symbol.
-    OS << '"';
+    Out += '"';
     for (char C : V.asSymbol().str()) {
       switch (C) {
       case '\n':
-        OS << "\\n";
+        Out += "\\n";
         break;
       case '\t':
-        OS << "\\t";
+        Out += "\\t";
         break;
       case '"':
-        OS << "\\\"";
+        Out += "\\\"";
         break;
       case '\\':
-        OS << "\\\\";
+        Out += "\\\\";
         break;
       default:
-        OS << C;
+        Out += C;
       }
     }
-    return OS << '"';
+    Out += '"';
+    return;
   }
   }
-  return OS;
+}
+
+std::ostream &crd::operator<<(std::ostream &OS, const Value &V) {
+  std::string Text;
+  appendValue(Text, V);
+  return OS.write(Text.data(), static_cast<std::streamsize>(Text.size()));
 }

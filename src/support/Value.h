@@ -133,6 +133,12 @@ private:
   };
 };
 
+/// Appends \p V as toString() spells it. Strings are quoted and escape
+/// exactly what the trace lexer unescapes (\n, \t, \", \\), so a printed
+/// value re-parses to the same symbol. operator<< and toString() are
+/// wrappers over this; it is the one spelling of a value.
+void appendValue(std::string &Out, const Value &V);
+
 std::ostream &operator<<(std::ostream &OS, const Value &V);
 
 } // namespace crd

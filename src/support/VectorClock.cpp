@@ -6,9 +6,10 @@
 
 #include "support/VectorClock.h"
 
+#include "support/TextAppend.h"
+
 #include <algorithm>
 #include <ostream>
-#include <sstream>
 
 using namespace crd;
 
@@ -40,17 +41,23 @@ VectorClock VectorClock::join(const VectorClock &A, const VectorClock &B) {
 }
 
 std::string VectorClock::toString() const {
-  std::ostringstream OS;
-  OS << *this;
-  return OS.str();
+  std::string Out;
+  appendVectorClock(Out, *this);
+  return Out;
+}
+
+void crd::appendVectorClock(std::string &Out, const VectorClock &VC) {
+  Out += '<';
+  for (size_t I = 0, E = VC.size(); I != E; ++I) {
+    if (I != 0)
+      Out += ',';
+    appendDecimal(Out, VC.get(ThreadId(static_cast<uint32_t>(I))));
+  }
+  Out += '>';
 }
 
 std::ostream &crd::operator<<(std::ostream &OS, const VectorClock &VC) {
-  OS << '<';
-  for (size_t I = 0, E = VC.size(); I != E; ++I) {
-    if (I != 0)
-      OS << ',';
-    OS << VC.get(ThreadId(static_cast<uint32_t>(I)));
-  }
-  return OS << '>';
+  std::string Text;
+  appendVectorClock(Text, VC);
+  return OS.write(Text.data(), static_cast<std::streamsize>(Text.size()));
 }

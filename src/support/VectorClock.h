@@ -207,6 +207,10 @@ private:
   SmallVec<uint32_t, 8> Components;
 };
 
+/// Appends \p VC as toString() spells it: "<3,0,1>", "<>" for ⊥V. The
+/// one spelling of a clock; operator<< and toString() wrap it.
+void appendVectorClock(std::string &Out, const VectorClock &VC);
+
 std::ostream &operator<<(std::ostream &OS, const VectorClock &VC);
 
 } // namespace crd

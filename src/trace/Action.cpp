@@ -6,8 +6,9 @@
 
 #include "trace/Action.h"
 
+#include "support/TextAppend.h"
+
 #include <ostream>
-#include <sstream>
 
 using namespace crd;
 
@@ -16,20 +17,31 @@ std::vector<Value> Action::values() const {
 }
 
 std::string Action::toString() const {
-  std::ostringstream OS;
-  OS << *this;
-  return OS.str();
+  std::string Out;
+  appendAction(Out, *this);
+  return Out;
+}
+
+void crd::appendAction(std::string &Out, const Action &A) {
+  Out += 'o';
+  appendDecimal(Out, A.object().index());
+  Out += '.';
+  Out += A.method().str();
+  Out += '(';
+  for (size_t I = 0, E = A.args().size(); I != E; ++I) {
+    if (I != 0)
+      Out += ", ";
+    appendValue(Out, A.args()[I]);
+  }
+  Out += ')';
+  for (const Value &Ret : A.rets()) {
+    Out += '/';
+    appendValue(Out, Ret);
+  }
 }
 
 std::ostream &crd::operator<<(std::ostream &OS, const Action &A) {
-  OS << 'o' << A.object().index() << '.' << A.method().str() << '(';
-  for (size_t I = 0, E = A.args().size(); I != E; ++I) {
-    if (I != 0)
-      OS << ", ";
-    OS << A.args()[I];
-  }
-  OS << ')';
-  for (const Value &Ret : A.rets())
-    OS << '/' << Ret;
-  return OS;
+  std::string Text;
+  appendAction(Text, A);
+  return OS.write(Text.data(), static_cast<std::streamsize>(Text.size()));
 }

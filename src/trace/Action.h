@@ -215,6 +215,12 @@ private:
   std::unique_ptr<Value[]> Heap;
 };
 
+/// Appends \p A as toString() spells it: `o1.put("a.com", 7)/nil` —
+/// arguments comma-separated in parentheses, then one `/ret` per return
+/// value. The one spelling of an action; operator<< and toString() wrap
+/// it.
+void appendAction(std::string &Out, const Action &A);
+
 std::ostream &operator<<(std::ostream &OS, const Action &A);
 
 } // namespace crd

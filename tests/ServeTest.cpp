@@ -17,9 +17,9 @@
 ///  * die notices ('D' frames) are applied in stream order and counted;
 ///  * DropNewest discards whole chunks and counts them, leaving the
 ///    remainder decodable;
-///  * idle sessions are reclaimed by the timeout sweep, capacity
-///    rejections are loud, and SIGTERM-style drain still delivers every
-///    open session's summary.
+///  * idle sessions are reclaimed by the timeout sweep, an idle daemon
+///    trims its heap, capacity rejections are loud, and SIGTERM-style
+///    drain still delivers every open session's summary.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -38,6 +38,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <fstream>
 #include <sstream>
@@ -440,6 +441,28 @@ TEST(ServeTest, StatusDocumentReportsSessions) {
   EXPECT_NE(Out.find("\"sessions_opened\""), std::string::npos) << Out;
   EXPECT_NE(Out.find("\"events_total\": " + std::to_string(0)), 0u) << Out;
   EXPECT_NE(Out.find("\"races_total\""), std::string::npos) << Out;
+}
+
+// After sessions close, an idle daemon trims its heap once (glibc
+// malloc_trim) and counts it; the trim waits for 1 s without connections.
+TEST(ServeTest, IdleDaemonTrimsItsHeap) {
+  TestTrace T;
+  Daemon D;
+  for (int I = 0; I != 3; ++I)
+    runCli(clientArgs(D, T, {"seq", nullptr}));
+  // A status request is a connection too, so read only after idling.
+  std::this_thread::sleep_for(std::chrono::milliseconds(1500));
+  auto [Exit, Out] = runCli({"serve", "--connect=" + D.SockPath, "--status"});
+  EXPECT_EQ(Exit, 0);
+  const std::string Key = "\"heap_trims\": ";
+  size_t At = Out.find(Key);
+  ASSERT_NE(At, std::string::npos) << Out;
+  uint64_t Trims = std::stoull(Out.substr(At + Key.size()));
+#if defined(__GLIBC__)
+  EXPECT_GE(Trims, 1u) << Out;
+#else
+  EXPECT_EQ(Trims, 0u) << Out; // Nothing to trim with.
+#endif
 }
 
 TEST(ServeTest, IdleSessionsAreReclaimed) {
