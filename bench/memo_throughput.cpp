@@ -11,7 +11,6 @@
 ///
 ///   * wire/decode          — WireReader draining the encoding (no cache);
 ///   * analyze/memo=off     — decode + sequential detection, cold path;
-///   * analyze/memo=decode  — repeated chunks skip varint/delta decode;
 ///   * analyze/memo=full    — repeated chunks replay detector summaries.
 ///
 /// The acceptance bars for the memo layer: analyze/memo=full must beat
@@ -124,22 +123,15 @@ int main(int Argc, char **Argv) {
   Report.add(Off);
   printRow(Off);
 
-  bench::BenchEntry DecodeMemo = bench::measureMedian(
-      "analyze/memo=decode", 0, Events, 1, Reps,
-      [&] { return analyze(MemoMode::Decode); });
-  Report.add(DecodeMemo);
-  printRow(DecodeMemo);
-
   bench::BenchEntry Full = bench::measureMedian(
       "analyze/memo=full", 0, Events, 1, Reps,
       [&] { return analyze(MemoMode::Full); });
   Report.add(Full);
   printRow(Full);
 
-  if (Off.Races != DecodeMemo.Races || Off.Races != Full.Races) {
+  if (Off.Races != Full.Races) {
     std::cerr << "race count mismatch across memo modes (off=" << Off.Races
-              << " decode=" << DecodeMemo.Races << " full=" << Full.Races
-              << ")\n";
+              << " full=" << Full.Races << ")\n";
     return 1;
   }
 

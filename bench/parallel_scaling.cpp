@@ -13,8 +13,8 @@
 ///   * seq/epoch     — sequential Algorithm 1 with epoch-compressed clocks
 ///     (the production CommutativityRaceDetector);
 ///   * parallel/shards=N[/batch=B] — the streaming shard pipeline at
-///     1/2/4/8 shards, swept over the dispatch batch size (the canonical
-///     per-shard entry uses the default batch).
+///     2/4/8 shards, swept over the dispatch batch size (the canonical
+///     per-shard entry uses the default batch). One shard is seq/epoch.
 ///
 /// Every configuration is timed with one warmup run and the median of the
 /// requested repetitions (bench/report.h), so committed numbers are stable
@@ -137,7 +137,7 @@ int main(int Argc, char **Argv) {
   // Shard sweep × dispatch batch size. The canonical "parallel/shards=N"
   // names keep the default batch so bench_compare.py can diff trajectories
   // across PRs; other batch sizes get an explicit suffix.
-  for (unsigned Shards : {1u, 2u, 4u, 8u})
+  for (unsigned Shards : {2u, 4u, 8u})
     for (size_t Batch : {size_t(1024), ParallelDetector::DefaultBatchSize,
                          size_t(16384)}) {
       std::string Name = "parallel/shards=" + std::to_string(Shards);

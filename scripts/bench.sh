@@ -23,7 +23,7 @@ cmake --build --preset release -j"$(nproc)"
   BENCH_wire.json
 
 # Chunk-memoized analysis over a repetitive trace: decode vs analyze at
-# --memo=off/decode/full. Exits non-zero if memo=full misses the 2x
+# --memo=off/full. Exits non-zero if memo=full misses the 2x
 # (vs off) / 1.2x (vs pure decode) acceptance bars or races drift.
 ./build-release/bench/memo_throughput 64 16 "$REPS" BENCH_memo.json
 

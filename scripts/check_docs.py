@@ -13,7 +13,14 @@ Three classes of rot this catches:
    `crd <verb> --help` text. Docs promising options the tool dropped (or
    never had) fail the build instead of misleading readers.
 
-3. Undocumented metrics: every JSON field name the observability snapshot
+3. Stale option values: every option value set spelled in the docs
+   (`--opt=a|b|c` or `--opt[=a|b]`, table cells may escape the bars) must
+   list exactly the values that verb's `--help` lists for the option, and
+   a single `--opt=value` must be one of them. On a `crd <verb>` line the
+   verb is known; elsewhere the set must match some verb's. CHANGES.md and
+   EXPERIMENTS.md are exempt: they record configurations as measured.
+
+4. Undocumented metrics: every JSON field name the observability snapshot
    emits (the `W.field("...")` / `W.key("...")` calls in
    src/wire/StreamPipeline.cpp) must be mentioned in
    docs/observability.md, so `crd profile` output never grows fields the
@@ -47,6 +54,13 @@ INLINE_CODE_RE = re.compile(r"`([^`]+)`")
 CRD_INVOCATION_RE = re.compile(r"\bcrd\s+([a-z][a-z0-9-]*)")
 FLAG_RE = re.compile(r"(--[a-zA-Z][\w-]*)")
 ALWAYS_OK_FLAGS = {"--help", "-h"}
+# An option with lowercase values: --opt=a|b, --opt[=a|b], --opt=a (docs
+# tables escape the bars as \|).
+OPTION_VALUES_RE = re.compile(
+    r"(--[a-z][\w-]*)\[?=([a-z0-9]+(?:\\?\|[a-z0-9]+)*)(?![\w.])"
+)
+# Pages exempt from the value-set check (see the module docstring).
+HISTORY_PAGES = {"CHANGES.md", "EXPERIMENTS.md"}
 
 
 def run_help(crd, *args):
@@ -100,9 +114,59 @@ def code_lines(text):
                 yield lineno, span
 
 
+def option_values(text):
+    """Yields (offset, option, [values]) per option value spelling."""
+    for m in OPTION_VALUES_RE.finditer(text):
+        yield m.start(), m.group(1), m.group(2).replace("\\", "").split("|")
+
+
+def help_value_sets(help_text):
+    """Option -> value set for the options a --help text spells as a|b."""
+    return {
+        opt: set(values)
+        for _, opt, values in option_values(help_text)
+        if len(values) > 1
+    }
+
+
+def value_problem(opt, values, allowed):
+    """Why `opt` spelled with `values` disagrees with the `allowed` sets."""
+    if len(values) > 1:
+        if set(values) in allowed:
+            return None
+        want = " or ".join("|".join(sorted(a)) for a in allowed) or "none"
+        return (f"documented values '{opt}={'|'.join(values)}' do not match "
+                f"--help (lists: {want})")
+    if allowed and not any(values[0] in a for a in allowed):
+        return f"documented value '{opt}={values[0]}' is not in --help"
+    return None
+
+
+def check_option_values(page, lineno, code, spans, verb_help, all_sets,
+                        repo_root, problems):
+    """spans: (start, end, verb) of the crd invocations in code."""
+    for start, opt, values in option_values(code):
+        verb = next((v for b, e, v in spans if b <= start < e), None)
+        if verb is not None:
+            known = help_value_sets(verb_help[verb]).get(opt)
+            allowed = [known] if known else []
+        else:
+            allowed = all_sets.get(opt, [])
+            if len(values) == 1 and not allowed:
+                continue  # A numeric or free-form value, e.g. --shards=4.
+        if verb is not None and not allowed:
+            continue
+        problem = value_problem(opt, values, allowed)
+        if problem:
+            problems.append(f"{page.relative_to(repo_root)}:{lineno}: "
+                            f"{problem}")
+
+
 def check_cli_references(page, text, repo_root, verbs, verb_help, crd,
-                         problems):
+                         all_sets, problems):
+    check_values = page.name not in HISTORY_PAGES
     for lineno, code in code_lines(text):
+        spans = []
         for m in CRD_INVOCATION_RE.finditer(code):
             verb = m.group(1)
             if verb == "help":
@@ -120,6 +184,7 @@ def check_cli_references(page, text, repo_root, verbs, verb_help, crd,
             nxt = CRD_INVOCATION_RE.search(rest)
             if nxt:
                 rest = rest[: nxt.start()]
+            spans.append((m.end(), m.end() + len(rest), verb))
             for flag in FLAG_RE.findall(rest):
                 if flag in ALWAYS_OK_FLAGS:
                     continue
@@ -129,6 +194,9 @@ def check_cli_references(page, text, repo_root, verbs, verb_help, crd,
                         f"documented option '{flag}' is not in "
                         f"'crd {verb} --help'"
                     )
+        if check_values:
+            check_option_values(page, lineno, code, spans, verb_help,
+                                all_sets, repo_root, problems)
 
 
 # Each snapshot writer and the reference page that must document every
@@ -183,12 +251,18 @@ def main():
     pages = [p for p in pages if p.exists()]
 
     problems = []
-    verb_help = {}
+    verb_help = {verb: run_help(crd, verb, "--help") for verb in verbs}
+    # Option -> the value sets any verb's --help spells for it.
+    all_sets = {}
+    for help_text in verb_help.values():
+        for opt, values in help_value_sets(help_text).items():
+            if values not in all_sets.setdefault(opt, []):
+                all_sets[opt].append(values)
     for page in pages:
         text = page.read_text(encoding="utf-8")
         check_links(page, text, repo_root, problems)
         check_cli_references(page, text, repo_root, verbs, verb_help, crd,
-                             problems)
+                             all_sets, problems)
     check_metric_fields(repo_root, problems)
 
     for problem in problems:

@@ -128,12 +128,11 @@ struct ParallelDetector::Shard {
   uint64_t Enqueued = 0; ///< Producer-side only.
   Algorithm1Engine Engine;
   /// Synthesized inc_τ(⊥) clocks for threads absent from a run's clock
-  /// map; written only by this shard's executing thread (the worker, or
-  /// the caller in single-shard inline mode).
+  /// map; written only by this shard's worker.
   std::vector<VectorClock> Synth;
-  /// Actions this shard claimed and executed. Written by the executing
-  /// thread, read after quiescence (shardLoads/metricsSnapshot) — live in
-  /// every build, like the engine's own counters.
+  /// Actions this shard claimed and executed. Written by the worker, read
+  /// after quiescence (shardLoads/metricsSnapshot) — live in every build,
+  /// like the engine's own counters.
   size_t RoutedEvents = 0;
   /// Races this shard contributed at the last merge. Structural like
   /// RoutedEvents (one add per flush, not per event), so it stays live —
@@ -160,69 +159,67 @@ ParallelDetector::ParallelDetector(unsigned NumShards, size_t BatchSize,
                                    bool TraceBatches)
     : BatchSizeVal(std::max<size_t>(1, BatchSize)),
       TraceBatches(metrics::Enabled && TraceBatches) {
-  if (NumShards == 0)
-    NumShards = std::max(1u, std::thread::hardware_concurrency());
+  assert(NumShards >= 2 && "one shard is the sequential detector");
   ShardList.reserve(NumShards);
   for (unsigned I = 0; I != NumShards; ++I)
     ShardList.push_back(std::make_unique<Shard>());
-  // One shard runs inline on the caller thread; otherwise each shard gets a
-  // persistent worker consuming its ring so shard work overlaps the
-  // sequential sync-only pre-pass. Everything the lambda needs is captured
-  // by value or reachable through its own Shard / the producer-owned batch
-  // pool (which outlives the workers by declaration order): it must not
-  // read detector members that may be torn down while it drains.
-  if (NumShards > 1)
-    for (unsigned I = 0; I != NumShards; ++I) {
-      Shard &S = *ShardList[I];
-      S.Worker = std::jthread([&S, NumShards, ShardIdx = I,
-                               Tracing = this->TraceBatches] {
-        RunBatch *RB = nullptr;
-        while (S.Ring.pop(RB)) {
-          uint64_t Begin = metrics::nowNs();
-          uint64_t Mine = 0;
-          // Locally computed routing: every shard claims exactly its own
-          // objects through the same hash.
-          auto Filter = [NumShards, ShardIdx](const Action &A) {
-            return shardIndex(A.object(), NumShards) == ShardIdx;
+  // Each shard gets a persistent worker consuming its ring so shard work
+  // overlaps the sequential sync-only pre-pass. Everything the lambda needs
+  // is captured by value or reachable through its own Shard / the
+  // producer-owned batch pool (which outlives the workers by declaration
+  // order): it must not read detector members that may be torn down while
+  // it drains.
+  for (unsigned I = 0; I != NumShards; ++I) {
+    Shard &S = *ShardList[I];
+    S.Worker = std::jthread([&S, NumShards, ShardIdx = I,
+                             Tracing = this->TraceBatches] {
+      RunBatch *RB = nullptr;
+      while (S.Ring.pop(RB)) {
+        uint64_t Begin = metrics::nowNs();
+        uint64_t Mine = 0;
+        // Locally computed routing: every shard claims exactly its own
+        // objects through the same hash.
+        auto Filter = [NumShards, ShardIdx](const Action &A) {
+          return shardIndex(A.object(), NumShards) == ShardIdx;
+        };
+        // Runs and invoke positions are both ascending, so one cursor
+        // over the batch's invoke index slices each run's actions; the
+        // batched kernel never touches the raw non-invoke events.
+        const std::vector<uint32_t> &Inv = RB->InvokePos;
+        size_t Cursor = 0;
+        for (const RunBatch::Run &R : RB->Runs) {
+          while (Cursor < Inv.size() && Inv[Cursor] < R.Begin)
+            ++Cursor;
+          size_t First = Cursor;
+          while (Cursor < Inv.size() && Inv[Cursor] < R.End)
+            ++Cursor;
+          if (Cursor == First)
+            continue;
+          auto Resolve = [&R, &S](ThreadId T) -> const VectorClock & {
+            return *resolveClock(*R.Map, T, S.Synth);
           };
-          // Runs and invoke positions are both ascending, so one cursor
-          // over the batch's invoke index slices each run's actions; the
-          // batched kernel never touches the raw non-invoke events.
-          const std::vector<uint32_t> &Inv = RB->InvokePos;
-          size_t Cursor = 0;
-          for (const RunBatch::Run &R : RB->Runs) {
-            while (Cursor < Inv.size() && Inv[Cursor] < R.Begin)
-              ++Cursor;
-            size_t First = Cursor;
-            while (Cursor < Inv.size() && Inv[Cursor] < R.End)
-              ++Cursor;
-            if (Cursor == First)
-              continue;
-            auto Resolve = [&R, &S](ThreadId T) -> const VectorClock & {
-              return *resolveClock(*R.Map, T, S.Synth);
-            };
-            Mine += S.Engine.onRun(RB->Evs, Inv.data() + First,
-                                   Cursor - First, RB->BaseIndex, Resolve,
-                                   Filter);
-          }
-          uint64_t End = metrics::nowNs();
-          S.WorkerNs.add(End - Begin);
-          S.Batches.inc();
-          S.RoutedEvents += Mine;
-          // Span recorded before the Completed signal so a quiesced
-          // pipeline always observes every span.
-          if (Tracing)
-            S.Spans.push_back(
-                {ShardIdx, RB->Seq, Mine, RB->EnqueueNs, Begin, End});
-          // Release the batch refcount only after the last read of it,
-          // then signal completion: quiescence implies every Pending
-          // decrement is visible to the producer.
-          RB->Pending.fetch_sub(1, std::memory_order_release);
-          S.Completed.fetch_add(1, std::memory_order_release);
-          S.Completed.notify_one();
+          Mine += S.Engine.onRun(RB->Evs, Inv.data() + First,
+                                 Cursor - First, RB->BaseIndex, Resolve,
+                                 Filter);
         }
-      });
-    }
+        uint64_t End = metrics::nowNs();
+        S.WorkerNs.add(End - Begin);
+        S.Batches.inc();
+        S.RoutedEvents += Mine;
+        // Span recorded before the Completed signal so a quiesced
+        // pipeline always observes every span.
+        if (Tracing)
+          S.Spans.push_back(
+              {ShardIdx, RB->Seq, Mine, RB->EnqueueNs, Begin, End});
+        // Release the batch refcount only after the last read of it,
+        // then signal completion: quiescence implies every Pending
+        // decrement is visible to the producer.
+        RB->Pending.fetch_sub(1, std::memory_order_release);
+        S.Completed.fetch_add(1, std::memory_order_release);
+        S.Completed.notify_one();
+      }
+    });
+  }
 }
 
 ParallelDetector::~ParallelDetector() {
@@ -426,105 +423,6 @@ void ParallelDetector::prepassAndDispatch(
   }
 }
 
-void ParallelDetector::processEventFused(const Event &E, size_t Index) {
-  if (FusedWindowEvents == 0)
-    FusedWindowBeginNs = metrics::nowNs();
-  ++FusedWindowEvents;
-  if (static_cast<uint8_t>(E.kind()) < SyncKindBound) {
-    SyncEventsCtr.inc();
-    PrepassVisitedCtr.inc();
-    RunLengths.record(FusedRunLen);
-    FusedRunLen = 0;
-    VCState.process(E);
-  } else {
-    ++FusedRunLen;
-    if (E.kind() == EventKind::Invoke) {
-      // Single shard owns every object: no routing, no snapshot — the
-      // clock machine's own clock is safe to read, nothing runs ahead.
-      ShardList[0]->Engine.onAction(E.action(), E.thread(),
-                                    VCState.clockOf(E.thread()), Index);
-      ++FusedWindowActions;
-    }
-  }
-  if (FusedWindowEvents >= BatchSizeVal)
-    closeFusedWindow();
-}
-
-void ParallelDetector::processSpanFused(const Event *Evs, const uint8_t *Kinds,
-                                        size_t N, size_t BaseIndex) {
-  // Single shard owns every object: no routing, no snapshot — the clock
-  // machine's own clocks are safe to read, nothing runs ahead. Within a
-  // run no sync event intervenes, so each clock reference stays valid for
-  // the whole onRun() call.
-  Shard &S = *ShardList[0];
-  auto Resolve = [this](ThreadId T) -> const VectorClock & {
-    return VCState.clockOf(T);
-  };
-  auto All = [](const Action &) { return true; };
-  size_t I = 0;
-  while (I < N) {
-    if (FusedWindowEvents == 0)
-      FusedWindowBeginNs = metrics::nowNs();
-    size_t Window = std::min(N - I, BatchSizeVal - FusedWindowEvents);
-    // One combined SIMD scan finds the window's sync and invoke events;
-    // the walk flushes each run's invokes into the batched kernel before
-    // the delimiting sync event advances the clocks.
-    CombinedScratch.clear();
-    appendKindPositions(Kinds + I, Window,
-                        static_cast<uint8_t>(SyncKindBound + 1),
-                        static_cast<uint32_t>(I), CombinedScratch);
-    InvokeScratch.clear();
-    auto FlushRun = [&] {
-      if (InvokeScratch.empty())
-        return;
-      FusedWindowActions += S.Engine.onRun(Evs, InvokeScratch.data(),
-                                           InvokeScratch.size(), BaseIndex,
-                                           Resolve, All);
-      InvokeScratch.clear();
-    };
-    // Run-length accounting: every event not in the combined index is a
-    // memory/tx event, so [Prev, P) counts exactly the non-sync events
-    // since the last sync; FusedRunLen carries the tail across windows.
-    uint32_t Prev = static_cast<uint32_t>(I);
-    for (uint32_t P : CombinedScratch) {
-      if (Kinds[P] < SyncKindBound) {
-        FlushRun();
-        SyncEventsCtr.inc();
-        PrepassVisitedCtr.inc();
-        RunLengths.record(FusedRunLen + (P - Prev));
-        FusedRunLen = 0;
-        Prev = P + 1;
-        VCState.process(Evs[P]);
-      } else {
-        InvokeScratch.push_back(P);
-      }
-    }
-    FlushRun();
-    FusedRunLen += (I + Window) - Prev;
-    FusedWindowEvents += Window;
-    I += Window;
-    if (FusedWindowEvents >= BatchSizeVal)
-      closeFusedWindow();
-  }
-}
-
-void ParallelDetector::closeFusedWindow() {
-  if (FusedWindowEvents == 0)
-    return;
-  Shard &S = *ShardList[0];
-  uint64_t End = metrics::nowNs();
-  S.Batches.inc();
-  S.WorkerNs.add(End - FusedWindowBeginNs);
-  S.FillDeciles.record(FusedWindowEvents * 10 / BatchSizeVal);
-  S.RoutedEvents += FusedWindowActions;
-  if (TraceBatches)
-    S.Spans.push_back({0, NextSeq, FusedWindowActions, FusedWindowBeginNs,
-                       FusedWindowBeginNs, End});
-  ++NextSeq;
-  FusedWindowEvents = 0;
-  FusedWindowActions = 0;
-}
-
 void ParallelDetector::sealStaging() {
   if (Staging.empty())
     return;
@@ -540,11 +438,6 @@ void ParallelDetector::sealStaging() {
 void ParallelDetector::processEvent(const Event &E) {
   if (metrics::Enabled && FeedStartNs == 0)
     FeedStartNs = metrics::nowNs(); // Pre-pass clock starts at first feed.
-  if (fused()) {
-    ++EventsProcessed;
-    processEventFused(E, EventsProcessed - 1);
-    return;
-  }
   if (Staging.empty())
     StagingBase = EventsProcessed;
   ++EventsProcessed;
@@ -556,15 +449,6 @@ void ParallelDetector::processEvent(const Event &E) {
 void ParallelDetector::processBatch(EventBatch &B) {
   if (metrics::Enabled && FeedStartNs == 0)
     FeedStartNs = metrics::nowNs();
-  if (fused()) {
-    // Synchronous execution: payloads in B's arena are consumed before the
-    // caller gets the (cleared) batch back.
-    processSpanFused(B.Events.data(), B.Kinds.data(), B.size(),
-                     EventsProcessed);
-    EventsProcessed += B.size();
-    B.clear();
-    return;
-  }
   sealStaging(); // Mixed feeding: staged events come first, in order.
   if (B.empty())
     return;
@@ -580,24 +464,6 @@ void ParallelDetector::processBatch(EventBatch &B) {
 void ParallelDetector::processTrace(const Trace &T) {
   if (metrics::Enabled && FeedStartNs == 0)
     FeedStartNs = metrics::nowNs();
-  if (fused()) {
-    // Windowed kernel feed: the trace stores events (not contiguous kind
-    // bytes), so each window gathers its kinds into reusable scratch and
-    // hands the span to the batched kernel — runs execute through the
-    // engine's prefetch-pipelined onRun() instead of a per-event loop.
-    const std::vector<Event> &Events = T.events();
-    for (size_t Begin = 0; Begin < Events.size(); Begin += BatchSizeVal) {
-      size_t N = std::min(BatchSizeVal, Events.size() - Begin);
-      KindScratch.clear();
-      for (size_t J = 0; J != N; ++J)
-        KindScratch.push_back(static_cast<uint8_t>(Events[Begin + J].kind()));
-      processSpanFused(Events.data() + Begin, KindScratch.data(), N,
-                       EventsProcessed);
-      EventsProcessed += N;
-    }
-    flush();
-    return;
-  }
   sealStaging();
   // Whole-trace feeding pins no copies: batches window the trace's own
   // contiguous event storage, which outlives the flush below. Only the
@@ -623,8 +489,6 @@ void ParallelDetector::processTrace(const Trace &T) {
 }
 
 void ParallelDetector::syncShard(Shard &S) {
-  if (!S.Worker.joinable())
-    return;
   uint64_t Done = S.Completed.load(std::memory_order_acquire);
   while (Done != S.Enqueued) {
     S.Completed.wait(Done, std::memory_order_acquire);
@@ -648,23 +512,13 @@ void ParallelDetector::mergeResults() {
     RacyObjects.insert(S->Engine.racyObjects().begin(),
                        S->Engine.racyObjects().end());
   }
-  // A single shard emits in event order already — nothing to reorder.
-  if (ShardList.size() > 1)
-    std::stable_sort(Races.begin() + FirstNew, Races.end(),
-                     [](const CommutativityRace &A,
-                        const CommutativityRace &B) {
-                       return A.EventIndex < B.EventIndex;
-                     });
+  std::stable_sort(Races.begin() + FirstNew, Races.end(),
+                   [](const CommutativityRace &A, const CommutativityRace &B) {
+                     return A.EventIndex < B.EventIndex;
+                   });
 }
 
 void ParallelDetector::flush() {
-  if (fused()) {
-    closeFusedWindow();
-    if (FusedRunLen != 0) {
-      RunLengths.record(FusedRunLen); // Trailing run of the feed window.
-      FusedRunLen = 0;
-    }
-  }
   sealStaging();
   if (metrics::Enabled && FeedStartNs != 0) {
     PrePassNsCtr.add(metrics::nowNs() - FeedStartNs);
@@ -780,7 +634,7 @@ void crd::writeChromeTrace(std::ostream &OS, const ParallelMetrics &M,
   for (const BatchSpan &S : M.Spans) {
     std::string Label = "batch " + std::to_string(S.Seq) + " (" +
                         std::to_string(S.Events) + " ev)";
-    // Queue-wait slice (zero-length for inline single-shard batches).
+    // Queue-wait slice (omitted when the worker picked the batch up at once).
     if (S.BeginNs > S.EnqueueNs) {
       W.beginObject();
       W.field("name", "queued " + Label);

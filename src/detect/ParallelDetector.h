@@ -137,13 +137,13 @@ public:
   static_assert(ParallelShardMetrics{}.Occupancy.size() == RingDepth + 2,
                 "occupancy histogram must cover 0..RingDepth plus a tail");
 
-  /// \p NumShards worker shards (clamped to ≥ 1; 0 = hardware concurrency).
-  /// With one shard the pipeline degenerates to inline execution on the
-  /// caller thread — no worker, no ring. \p TraceBatches additionally
-  /// records a BatchSpan per dispatched batch (CRD_METRICS builds only) for
+  /// \p NumShards worker shards, at least two: one shard is exactly the
+  /// sequential CommutativityRaceDetector, which is what StreamPipeline
+  /// runs for a one-shard request. \p TraceBatches additionally records a
+  /// BatchSpan per dispatched batch (CRD_METRICS builds only) for
   /// writeChromeTrace(); it is fixed at construction because the shard
   /// workers capture it.
-  explicit ParallelDetector(unsigned NumShards = 0,
+  explicit ParallelDetector(unsigned NumShards,
                             size_t BatchSize = DefaultBatchSize,
                             bool TraceBatches = false);
   ~ParallelDetector();
@@ -230,22 +230,6 @@ private:
   using ClockMap = std::vector<const VectorClock *>;
 
   unsigned shardOf(ObjectId Obj) const;
-  /// Single-shard degeneration: one shard owns every object, so the
-  /// run/handoff machinery buys nothing — events are executed synchronously
-  /// on the caller thread at sequential-detector cost (sync events run the
-  /// clock machine, actions go straight into the engine). Metrics windows
-  /// of BatchSize events stand in for dispatched batches so the
-  /// observability contract (batch counts, spans partitioning actions)
-  /// holds unchanged.
-  bool fused() const { return ShardList.size() == 1; }
-  void processEventFused(const Event &E, size_t Index);
-  /// Fused-mode batched kernel: feeds Evs[0..N) (with their kind bytes)
-  /// through the engine's prefetch-pipelined onRun(), one sync-free run at
-  /// a time, maintaining the fused run/window accounting across calls.
-  /// \p BaseIndex is the global index of Evs[0].
-  void processSpanFused(const Event *Evs, const uint8_t *Kinds, size_t N,
-                        size_t BaseIndex);
-  void closeFusedWindow();
   RunBatch *acquireBatch();
   void sealStaging();
   /// \p Kinds is the batch's kind-byte array (RB->N entries, aligned with
@@ -266,12 +250,6 @@ private:
   /// Pre-pass scratch: threads whose clock changed since the current run
   /// map was materialized (duplicates are harmless).
   std::vector<ThreadId> DirtyThreads;
-  /// Fused single-shard mode state: current run length (events since the
-  /// last sync event) and the open metrics window.
-  uint64_t FusedRunLen = 0;
-  size_t FusedWindowEvents = 0;
-  uint64_t FusedWindowActions = 0;
-  uint64_t FusedWindowBeginNs = 0;
   /// Run-batch pool: stable storage (deque — growth never moves batches),
   /// free list, and the FIFO of batches whose workers may still be
   /// running. Producer-side only. Declared BEFORE ShardList: destruction
@@ -294,10 +272,8 @@ private:
   /// and SIMD-scanned sync positions.
   std::vector<uint8_t> KindScratch;
   std::vector<uint32_t> SyncScratch;
-  /// Pre-pass scratch for the combined sync+invoke kind scan, and the
-  /// fused path's per-run invoke positions.
+  /// Pre-pass scratch for the combined sync+invoke kind scan.
   std::vector<uint32_t> CombinedScratch;
-  std::vector<uint32_t> InvokeScratch;
   std::vector<CommutativityRace> Races;
   std::unordered_set<ObjectId> RacyObjects;
   size_t EventsProcessed = 0;

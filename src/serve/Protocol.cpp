@@ -6,6 +6,8 @@
 
 #include "serve/Protocol.h"
 
+#include "support/EnumNames.h"
+
 #include <chrono>
 #include <cstdio>
 
@@ -45,32 +47,6 @@ uint64_t serve::monotonicNs() {
           .count());
 }
 
-const char *serve::backendToken(wire::Backend B) {
-  switch (B) {
-  case wire::Backend::Sequential:
-    return "seq";
-  case wire::Backend::Parallel:
-    return "parallel";
-  case wire::Backend::FastTrack:
-    return "fasttrack";
-  case wire::Backend::Atomicity:
-    return "atomicity";
-  }
-  return "seq";
-}
-
-const char *serve::memoToken(wire::MemoMode M) {
-  switch (M) {
-  case wire::MemoMode::Off:
-    return "off";
-  case wire::MemoMode::Decode:
-    return "decode";
-  case wire::MemoMode::Full:
-    return "full";
-  }
-  return "off";
-}
-
 bool serve::parseHandshake(std::string_view Line, Handshake &H,
                            std::string &Error) {
   // Tolerate a trailing '\r' so `nc` users on CRLF terminals still parse.
@@ -92,43 +68,37 @@ bool serve::parseHandshake(std::string_view Line, Handshake &H,
     std::string_view Val =
         Eq == std::string_view::npos ? std::string_view() : Tok.substr(Eq + 1);
     if (Key == "detector") {
-      if (Val == "seq")
-        H.TheBackend = wire::Backend::Sequential;
-      else if (Val == "parallel")
-        H.TheBackend = wire::Backend::Parallel;
-      else if (Val == "fasttrack")
-        H.TheBackend = wire::Backend::FastTrack;
-      else if (Val == "atomicity")
-        H.TheBackend = wire::Backend::Atomicity;
-      else {
-        Error = "unknown detector '" + std::string(Val) + "'";
+      auto B = enumFromName<wire::Backend>(wire::BackendNames, Val);
+      if (!B) {
+        Error = "unknown detector '" + std::string(Val) +
+                "' (accepted: " + joinNames(wire::BackendNames) + ")";
         return false;
       }
+      H.TheBackend = *B;
     } else if (Key == "shards") {
       uint64_t N = 0;
-      if (!parseUnsigned(Val, N) || N > 1024) {
-        Error = "shards expects an integer";
+      if (!parseUnsigned(Val, N) || N > wire::MaxShards) {
+        Error = "shards expects an integer <= " +
+                std::to_string(wire::MaxShards);
         return false;
       }
       H.Shards = static_cast<unsigned>(N);
     } else if (Key == "batch") {
       uint64_t N = 0;
-      if (!parseUnsigned(Val, N) || N == 0 || N > (1u << 24)) {
-        Error = "batch expects a positive integer";
+      if (!parseUnsigned(Val, N) || N == 0 || N > wire::MaxBatchSize) {
+        Error = "batch expects a positive integer <= " +
+                std::to_string(wire::MaxBatchSize);
         return false;
       }
       H.BatchSize = static_cast<size_t>(N);
     } else if (Key == "memo") {
-      if (Val == "off")
-        H.Memo = wire::MemoMode::Off;
-      else if (Val == "decode")
-        H.Memo = wire::MemoMode::Decode;
-      else if (Val == "full")
-        H.Memo = wire::MemoMode::Full;
-      else {
-        Error = "unknown memo mode '" + std::string(Val) + "'";
+      auto M = enumFromName<wire::MemoMode>(wire::MemoModeNames, Val);
+      if (!M) {
+        Error = "unknown memo mode '" + std::string(Val) +
+                "' (accepted: " + joinNames(wire::MemoModeNames) + ")";
         return false;
       }
+      H.Memo = *M;
     } else {
       Error = "unknown handshake token '" + std::string(Tok) + "'";
       return false;
@@ -144,7 +114,7 @@ std::string serve::renderHandshake(const Handshake &H) {
     return Line;
   }
   Line += " detector=";
-  Line += backendToken(H.TheBackend);
+  Line += wire::backendName(H.TheBackend);
   if (H.Shards) {
     Line += " shards=";
     Line += std::to_string(H.Shards);
@@ -152,7 +122,7 @@ std::string serve::renderHandshake(const Handshake &H) {
   Line += " batch=";
   Line += std::to_string(H.BatchSize);
   Line += " memo=";
-  Line += memoToken(H.Memo);
+  Line += wire::memoModeName(H.Memo);
   return Line;
 }
 

@@ -67,13 +67,15 @@ struct Handshake {
   /// the aggregate + per-session metrics document and closes.
   bool Status = false;
   wire::Backend TheBackend = wire::Backend::Sequential;
-  unsigned Shards = 0;     ///< parallel backend worker shards (0 = cores).
+  /// parallel backend worker shards (0 = cores; one shard runs the
+  /// sequential detector).
+  unsigned Shards = 0;
   size_t BatchSize = 4096; ///< parallel backend batch granularity.
   wire::MemoMode Memo = wire::MemoMode::Off;
 };
 
 /// Parses `crd-serve/1 [status] [detector=...] [shards=N] [batch=N]
-/// [memo=off|decode|full]` (tokens space-separated, any order after the
+/// [memo=off|full]` (tokens space-separated, any order after the
 /// tag, \p Line without the trailing newline). Returns false with a
 /// one-line reason in \p Error on any unknown token or value — a strict
 /// grammar keeps version skew loud.
@@ -88,10 +90,6 @@ void appendFrameHeader(std::string &Out, FrameType T, uint32_t BodySize);
 /// Appends \p S with the JSON string escapes of RFC 8259 (quotes not
 /// included) — reply lines are hand-assembled to stay single-line.
 void appendJsonEscaped(std::string &Out, std::string_view S);
-
-/// Canonical spellings shared with the `crd` CLI surface.
-const char *backendToken(wire::Backend B);
-const char *memoToken(wire::MemoMode M);
 
 /// Monotonic nanoseconds for idle-timeout sweeps and timeline spans.
 /// Deliberately not metrics::nowNs(): that compiles to a constant 0 in

@@ -210,8 +210,8 @@ void Session::runWork() {
             : St == State::Streaming ? "streaming"
                                      : "done";
   if (Pipeline) {
-    S.Backend = backendToken(Config.TheBackend);
-    S.Memo = memoToken(Config.Memo);
+    S.Backend = wire::backendName(Config.TheBackend);
+    S.Memo = wire::memoModeName(Config.Memo);
     S.Events = Pipeline->eventsProcessed();
     wire::StreamSummary Sum = Pipeline->summary();
     S.Races = Sum.Races + Sum.MemoryRaces + Sum.Violations;
@@ -319,9 +319,9 @@ bool Session::handleHandshake() {
   std::string Hello = "{\"type\":\"hello\",\"session\":";
   Hello += std::to_string(Id);
   Hello += ",\"detector\":\"";
-  Hello += backendToken(Config.TheBackend);
+  Hello += wire::backendName(Config.TheBackend);
   Hello += "\",\"memo\":\"";
-  Hello += memoToken(Config.Memo);
+  Hello += wire::memoModeName(Config.Memo);
   Hello += "\"}";
   emitLine(std::move(Hello));
   St = State::Streaming;

@@ -53,9 +53,9 @@ public:
   /// sync index with the SIMD kind-scan. BinaryStreamSource — the source
   /// openEventSource() returns for wire files, so the one every tool reads
   /// through — overrides this with the decoder's chunk-at-a-time path,
-  /// which emits the index during decode and, under a memo mode, serves
-  /// verified-repeat chunks from the reader's cache (decoding them on
-  /// demand in MemoMode::Full).
+  /// which emits the index during decode and, with a chunk cache, serves
+  /// verified-repeat chunks from it (decoding them on demand under
+  /// ChunkCache::PayloadIndex).
   virtual size_t nextBatch(EventBatch &B, size_t MaxEvents) {
     Event E = Event::txBegin(ThreadId(0)); // Overwritten by next().
     size_t N = 0;
@@ -75,8 +75,8 @@ public:
   virtual const WireReader *wireReader() const { return nullptr; }
 
   /// Mutable access to the binary decoder for memoization control
-  /// (setMemoMode, the chunk handshake). Null for sources with no wire
-  /// reader — memo modes then degrade to plain streaming.
+  /// (setChunkCache, the chunk handshake). Null for sources with no wire
+  /// reader — --memo then degrades to plain streaming.
   virtual WireReader *memoReader() { return nullptr; }
 };
 

@@ -10,36 +10,17 @@
 
 #include <algorithm>
 #include <ostream>
+#include <thread>
 
 using namespace crd;
 using namespace crd::wire;
 
 namespace {
 
-const char *backendName(Backend B) {
-  switch (B) {
-  case Backend::Sequential:
-    return "sequential";
-  case Backend::Parallel:
-    return "parallel";
-  case Backend::FastTrack:
-    return "fasttrack";
-  case Backend::Atomicity:
-    return "atomicity";
-  }
-  return "unknown";
-}
-
-const char *memoModeName(MemoMode M) {
-  switch (M) {
-  case MemoMode::Off:
-    return "off";
-  case MemoMode::Decode:
-    return "decode";
-  case MemoMode::Full:
-    return "full";
-  }
-  return "unknown";
+/// The metrics document's backend name: the user-facing spelling, except
+/// that the sequential detector reads "sequential" there.
+const char *metricsBackendName(Backend B) {
+  return B == Backend::Sequential ? "sequential" : backendName(B);
 }
 
 void writeEngineStats(metrics::JsonWriter &W, const Algorithm1Stats &S) {
@@ -59,13 +40,21 @@ void writeEngineStats(metrics::JsonWriter &W, const Algorithm1Stats &S) {
 
 StreamPipeline::StreamPipeline(PipelineOptions Opts) : Opts(Opts) {
   this->Opts.BatchSize = std::max<size_t>(1, Opts.BatchSize);
-  switch (Opts.TheBackend) {
+  // The one place a shard count is resolved. Algorithm 1 keeps all mutable
+  // state per object, so one shard is exactly the sequential detector.
+  if (this->Opts.TheBackend == Backend::Parallel) {
+    if (this->Opts.Shards == 0)
+      this->Opts.Shards = std::thread::hardware_concurrency();
+    if (this->Opts.Shards < 2)
+      this->Opts.TheBackend = Backend::Sequential;
+  }
+  switch (this->Opts.TheBackend) {
   case Backend::Sequential:
     Seq = std::make_unique<CommutativityRaceDetector>();
     break;
   case Backend::Parallel:
-    Par = std::make_unique<ParallelDetector>(Opts.Shards, this->Opts.BatchSize,
-                                             Opts.TraceBatches);
+    Par = std::make_unique<ParallelDetector>(
+        this->Opts.Shards, this->Opts.BatchSize, Opts.TraceBatches);
     break;
   case Backend::FastTrack:
     FT = std::make_unique<FastTrackDetector>();
@@ -231,8 +220,7 @@ bool StreamPipeline::pumpChunk(WireReader &Reader) {
   if (N == 0)
     return true;
   CommutativityRaceDetector::MemoRecordToken Token = Seq->beginMemoRecord();
-  for (const Event &E : B.Events)
-    Seq->process(E);
+  Seq->processBatch(B);
   ++MemoStats.ChunksInterpreted;
   Events += N;
   if (metrics::Enabled)
@@ -259,14 +247,14 @@ bool StreamPipeline::pumpChunk(WireReader &Reader) {
 
 void StreamPipeline::pump(EventSource &Source) {
   WireReader *Reader =
-      Opts.Memo != MemoMode::Off ? Source.memoReader() : nullptr;
+      Opts.Memo == MemoMode::Full ? Source.memoReader() : nullptr;
   if (Reader) {
-    // Decode-level caching helps every backend; the summary loop requires
-    // the sequential detector (chunk replay needs exclusive, in-order
-    // access to the full detector state).
-    Reader->setMemoMode(Opts.Memo == MemoMode::Full && Seq ? MemoMode::Full
-                                                           : MemoMode::Decode);
-    if (Opts.Memo == MemoMode::Full && Seq) {
+    // The summary loop requires the sequential detector (chunk replay
+    // needs exclusive, in-order access to the full detector state); the
+    // other backends skip only the decode of repeated chunks.
+    Reader->setChunkCache(Seq ? ChunkCache::PayloadIndex
+                              : ChunkCache::DecodedBatches);
+    if (Seq) {
       while (pumpChunk(*Reader)) {
       }
       return;
@@ -360,7 +348,7 @@ void StreamPipeline::writeMetricsJson(std::ostream &OS,
   metrics::JsonWriter W(OS);
   W.beginObject();
   W.field("metrics_enabled", metrics::Enabled);
-  W.field("backend", backendName(Opts.TheBackend));
+  W.field("backend", metricsBackendName(Opts.TheBackend));
   W.field("events", static_cast<uint64_t>(Events));
 
   W.key("events_by_kind");
@@ -414,7 +402,7 @@ void StreamPipeline::writeMetricsJson(std::ostream &OS,
 
   W.key("detector");
   W.beginObject();
-  W.field("kind", backendName(Opts.TheBackend));
+  W.field("kind", metricsBackendName(Opts.TheBackend));
   if (Seq) {
     writeEngineStats(W, Seq->engineStats());
     W.field("kernel_ns", Seq->kernelNs());

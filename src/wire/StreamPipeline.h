@@ -43,6 +43,19 @@ enum class Backend {
   Atomicity,  ///< OnlineAtomicityChecker (conflict-serializability).
 };
 
+/// The user-facing spellings (`--detector`, the serve handshake's
+/// `detector=`, the serve status document), indexed by Backend.
+inline constexpr const char *BackendNames[] = {"seq", "parallel", "fasttrack",
+                                               "atomicity"};
+inline const char *backendName(Backend B) {
+  return BackendNames[static_cast<size_t>(B)];
+}
+
+/// Upper bounds on PipelineOptions::Shards and BatchSize that every
+/// surface accepting them (CLI, serve handshake) enforces.
+inline constexpr unsigned MaxShards = 1024;
+inline constexpr size_t MaxBatchSize = size_t(1) << 24;
+
 /// End-of-stream report.
 struct StreamSummary {
   size_t Events = 0;
@@ -59,16 +72,18 @@ struct StreamSummary {
 /// Pipeline configuration.
 struct PipelineOptions {
   Backend TheBackend = Backend::Sequential;
-  unsigned Shards = 0;     ///< Parallel backend: 0 = hardware concurrency.
+  /// Parallel backend: worker shards, 0 = hardware concurrency. A request
+  /// that resolves to fewer than two shards runs the sequential detector.
+  unsigned Shards = 0;
   size_t BatchSize = 4096; ///< Parallel backend batch granularity (≥ 1).
   /// Parallel backend: record a BatchSpan per dispatched batch for Chrome
   /// tracing (CRD_METRICS builds only; see ParallelDetector).
   bool TraceBatches = false;
-  /// Chunk memoization level for binary sources carrying content digests
-  /// (docs/trace-format.md). Decode enables the WireReader decode cache
-  /// (repeated chunk payloads skip varint/delta decode); Full additionally
-  /// memoizes detector chunk summaries (sequential backend only — other
-  /// backends degrade to Decode). Races are bit-identical in every mode.
+  /// Chunk memoization for binary sources carrying content digests
+  /// (docs/trace-format.md). Full makes the sequential backend replay
+  /// detector chunk summaries over the reader's payload index; the other
+  /// backends get the reader's decoded-batch cache (repeated payloads skip
+  /// varint/delta decode). Races are bit-identical in every mode.
   MemoMode Memo = MemoMode::Off;
 };
 
@@ -94,8 +109,9 @@ public:
 
   /// Invoked for every commutativity race as soon as the backend reports
   /// it (after the offending event for Sequential's per-event feed, after
-  /// the containing batch for its batched feed; at finish() for Parallel,
-  /// whose races surface when the pipeline flushes).
+  /// the containing batch for its batched feed; at finish() for a parallel
+  /// run of two or more shards, whose races surface when the pipeline
+  /// flushes).
   void setRaceCallback(std::function<void(const CommutativityRace &)> Cb) {
     RaceCallback = std::move(Cb);
   }
@@ -116,8 +132,8 @@ public:
   void processBatch(EventBatch &B);
 
   /// Pulls \p Source dry, then finish()es. Returns the summary. With
-  /// PipelineOptions::Memo != Off and a binary source, drives the
-  /// memoized chunk loop (see pumpChunk()).
+  /// PipelineOptions::Memo == Full, a binary source and the sequential
+  /// backend, drives the memoized chunk loop (see pumpChunk()).
   StreamSummary run(EventSource &Source);
 
   /// Incremental counterpart of run(): pulls whatever \p Source can
@@ -160,9 +176,10 @@ public:
   const std::vector<MemoryRace> &memoryRaces() const;
   const std::vector<AtomicityViolation> &violations() const;
 
-  /// The parallel backend, or nullptr for other backends. Exposed so
-  /// callers (crd profile) can pull the full metrics snapshot / batch
-  /// spans. Quiesce with finish() before reading.
+  /// The parallel backend, or nullptr for other backends and for parallel
+  /// requests that resolved to one shard. Exposed so callers (crd profile)
+  /// can pull the full metrics snapshot / batch spans. Quiesce with
+  /// finish() before reading.
   const ParallelDetector *parallelDetector() const { return Par.get(); }
 
   /// The sequential backend, or nullptr for other backends. Exposed so

@@ -300,7 +300,7 @@ bool WireReader::materializeStaged() {
 bool WireReader::next(Event &E) {
   if (Failed)
     return false;
-  if (Memo != MemoMode::Off) {
+  if (CacheKind != ChunkCache::Off) {
     // Serve from the staged chunk (cache entry or decoded batch).
     while (stagedLeft() == 0)
       if (!stageChunk())
@@ -329,7 +329,7 @@ bool WireReader::next(Event &E) {
 }
 
 size_t WireReader::nextBatch(EventBatch &B, size_t MaxEvents) {
-  if (Memo != MemoMode::Off) {
+  if (CacheKind != ChunkCache::Off) {
     size_t Appended = 0;
     while (Appended != MaxEvents) {
       if (Failed)
@@ -412,7 +412,7 @@ bool WireReader::stageChunk() {
       OpenView.Events = Hit.Events;
       ++NumChunks;
       ++MemoHits;
-      if (Memo == MemoMode::Full) {
+      if (CacheKind == ChunkCache::PayloadIndex) {
         // Decode waits until someone asks for the events; a summary
         // replay never does.
         StagedUndecoded = true;
@@ -426,7 +426,7 @@ bool WireReader::stageChunk() {
 
   // Cold path: full validation + decode, like loadChunk, but events land
   // in a staged self-contained batch (a new cache entry's batch when
-  // Decode mode caches it).
+  // DecodedBatches cache holds it).
   std::optional<uint64_t> Count =
       decodePrologue(WithDigest ? &Digest : nullptr);
   if (!Count)
@@ -437,8 +437,9 @@ bool WireReader::stageChunk() {
   std::unique_ptr<CacheEntry> NewEntry;
   if (WithDigest && CacheBytes < MemoCacheMaxBytes && !Cache.count(Digest))
     NewEntry = std::make_unique<CacheEntry>();
-  EventBatch *Dst = NewEntry && Memo == MemoMode::Decode ? &NewEntry->Batch
-                                                         : &StagingBatch;
+  EventBatch *Dst = NewEntry && CacheKind == ChunkCache::DecodedBatches
+                        ? &NewEntry->Batch
+                        : &StagingBatch;
   Dst->clear();
   if (!decodeEventsInto(*Dst, *Count))
     return false;
@@ -448,10 +449,10 @@ bool WireReader::stageChunk() {
     NewEntry->Payload = Payload;
     NewEntry->Events = Dst->size();
     CacheBytes += NewEntry->Payload.size();
-    // Decode mode also holds the batch: event/kind/sync vectors plus
+    // The decoded-batch cache also holds the batch: event/kind/sync vectors plus
     // pinned values. Good enough to bound the cache; exactness is not the
     // point.
-    if (Memo == MemoMode::Decode)
+    if (CacheKind == ChunkCache::DecodedBatches)
       CacheBytes += Dst->Events.size() * sizeof(Event) + Dst->Kinds.size() +
                     Dst->SyncPos.size() * sizeof(uint32_t) +
                     Dst->Values.bytesUsed();

@@ -60,26 +60,38 @@ struct WireReaderStats {
   uint64_t PayloadBytes = 0;    ///< Chunk payload bytes decoded (ex-headers).
   uint64_t Symbols = 0;         ///< Symbol-table entries across all chunks.
   uint64_t ArenaPeakBytes = 0;  ///< Peak per-chunk value-arena footprint.
-  /// Chunks whose payload matched a cache entry byte for byte. Decode
-  /// mode serves them from the cached batch; Full mode stages them
-  /// undecoded and decodes only if the pipeline interprets them.
+  /// Chunks whose payload matched a cache entry byte for byte. The
+  /// decoded-batch cache serves them from the cached batch; the payload
+  /// index stages them undecoded and decodes only if the pipeline
+  /// interprets them.
   uint64_t MemoHits = 0;
   uint64_t MemoMisses = 0;      ///< Chunks cold-decoded while memoizing.
   uint64_t MemoBytesSaved = 0;  ///< Payload bytes whose decode was skipped.
   uint64_t MemoCacheEntries = 0;
-  /// Bytes the cache holds: payloads, plus the decoded batches in Decode
-  /// mode (Full mode keeps payloads only).
+  /// Bytes the cache holds: payloads, plus the decoded batches under
+  /// ChunkCache::DecodedBatches (the payload index keeps payloads only).
   uint64_t MemoCacheBytes = 0;
 };
 
-/// How aggressively the reader (and the pipeline above it) memoizes
-/// repeated chunks. Off = decode every chunk; Decode = digest-keyed decode
-/// cache (repeated payloads skip varint/delta decode by reusing the cached
-/// batch); Full = detector-level chunk summaries (StreamPipeline replays a
-/// sync-free chunk's race effects without materializing its events) over
-/// a payload-only verification index — a verified repeat is staged
-/// undecoded and decoded only if the pipeline has to interpret it.
-enum class MemoMode { Off, Decode, Full };
+/// Chunk memoization as users choose it (`--memo`, the serve handshake's
+/// `memo=`). Off = decode and analyze every chunk; Full = a repeated chunk
+/// skips work — StreamPipeline picks the reader's ChunkCache to match the
+/// backend. Races are bit-identical either way.
+enum class MemoMode { Off, Full };
+
+/// The user-facing spellings, indexed by MemoMode.
+inline constexpr const char *MemoModeNames[] = {"off", "full"};
+inline const char *memoModeName(MemoMode M) {
+  return MemoModeNames[static_cast<size_t>(M)];
+}
+
+/// What the reader's digest-keyed chunk cache holds.
+///  * DecodedBatches: each chunk's decoded batch; a verified repeat skips
+///    varint/delta decode.
+///  * PayloadIndex: payloads only; a verified repeat is staged undecoded
+///    and decoded only if the pipeline has to interpret it — the detector
+///    replays a chunk summary instead (sequential backend).
+enum class ChunkCache { Off, DecodedBatches, PayloadIndex };
 
 /// Pull-based decoder over a binary trace stream.
 class WireReader {
@@ -124,13 +136,13 @@ public:
   //===--------------------------------------------------------------------===//
   // Chunk memoization (docs/trace-format.md, docs/observability.md).
   //
-  // With a MemoMode other than Off the reader works chunk-at-a-time. Each
+  // With a ChunkCache other than Off the reader works chunk-at-a-time. Each
   // chunk's payload is looked up in a digest-keyed cache; a hit is a
   // payload byte-identical to one already validated and decoded (the
   // full-payload compare makes 64-bit digest collisions harmless).
-  //  * Decode: the cache holds the decoded batch too, and a hit is served
-  //    from it, skipping varint/delta decode.
-  //  * Full: the cache holds payloads only. A hit is staged undecoded;
+  //  * DecodedBatches: the cache holds the decoded batch too, and a hit is
+  //    served from it, skipping varint/delta decode.
+  //  * PayloadIndex: the cache holds payloads only. A hit is staged undecoded;
   //    skipChunk() (summary replay) never decodes it, and next() /
   //    nextBatch() / finishChunkInto() decode it on demand with the same
   //    routine and checks as a cold chunk. Holding no decoded batches
@@ -141,8 +153,8 @@ public:
   //===--------------------------------------------------------------------===//
 
   /// Must be set before the first next()/nextBatch() call.
-  void setMemoMode(MemoMode M) { Memo = M; }
-  MemoMode memoMode() const { return Memo; }
+  void setChunkCache(ChunkCache C) { CacheKind = C; }
+  ChunkCache chunkCache() const { return CacheKind; }
 
   /// What beginChunk() reveals about the staged chunk before any event is
   /// handed out — enough for a caller to decide replay-vs-interpret.
@@ -156,7 +168,7 @@ public:
     size_t Events = 0;      ///< Events in the chunk.
   };
 
-  /// Stages the next chunk and describes it (memo modes only). Repeated
+  /// Stages the next chunk and describes it (chunk caches only). Repeated
   /// calls without consuming return the same view. Returns nullopt at end
   /// of stream or on a structural error.
   std::optional<ChunkView> beginChunk();
@@ -193,7 +205,7 @@ public:
 
 private:
   /// One immortal decode-cache entry: the exact payload bytes (the hit
-  /// verifier), its event count, and — in Decode mode only — the chunk
+  /// verifier), its event count, and — under DecodedBatches only — the chunk
   /// decoded as a self-contained batch.
   struct CacheEntry {
     std::string Payload;
@@ -247,13 +259,13 @@ private:
   uint64_t ArenaPeak = 0;
 
   /// Memoization state. Staged points at the cache entry's batch on a
-  /// Decode-mode hit or at StagingBatch after a decode; unique_ptr entries
+  /// DecodedBatches hit or at StagingBatch after a decode; unique_ptr entries
   /// keep batch addresses stable across rehash. StagedUndecoded marks a
-  /// Full-mode hit whose events still sit encoded in Payload. Insertion
+  /// PayloadIndex hit whose events still sit encoded in Payload. Insertion
   /// stops once CacheBytes crosses MemoCacheMaxBytes — never evict, so
   /// digest→payload stays immutable for the reader's lifetime.
   static constexpr size_t MemoCacheMaxBytes = size_t(256) << 20;
-  MemoMode Memo = MemoMode::Off;
+  ChunkCache CacheKind = ChunkCache::Off;
   std::unordered_map<uint64_t, std::unique_ptr<CacheEntry>> Cache;
   size_t CacheBytes = 0;
   const EventBatch *Staged = nullptr;

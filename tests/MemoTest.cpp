@@ -11,8 +11,8 @@
 /// corrupted digest fails like a corrupted CRC, sync churn forces 100%
 /// fallback without changing the report, legacy digest-less files still
 /// decode, the crd CLI validates --memo end to end and memoizes when it
-/// reads a file, and Full mode's on-demand decode of verified repeats
-/// keeps counters, diagnostics and races exact.
+/// reads a file, and the payload index's on-demand decode of verified
+/// repeats keeps counters, diagnostics and races exact.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -37,6 +37,7 @@
 #include <map>
 #include <set>
 #include <sstream>
+#include <vector>
 
 using namespace crd;
 using namespace crd::wire;
@@ -132,12 +133,12 @@ AnalyzeResult analyzeFile(const std::string &Path, PipelineOptions Opts) {
 }
 
 /// Drains a reader with next(); returns the diagnostics.
-std::string drainDiagnostics(const std::string &Wire, MemoMode Memo,
+std::string drainDiagnostics(const std::string &Wire, ChunkCache Cache,
                              WireReaderStats *Stats) {
   std::istringstream In(Wire);
   DiagnosticEngine Diags;
   WireReader Reader(In, Diags);
-  Reader.setMemoMode(Memo);
+  Reader.setChunkCache(Cache);
   Event E = Event::txBegin(ThreadId(0));
   while (Reader.next(E))
     ;
@@ -188,7 +189,7 @@ TEST(MemoTest, RacesBitIdenticalAcrossModesAndBackends) {
   EXPECT_EQ(Baseline.Reader.MemoHits, 0u);
   EXPECT_EQ(Baseline.Reader.MemoCacheEntries, 0u);
 
-  for (MemoMode Memo : {MemoMode::Off, MemoMode::Decode, MemoMode::Full}) {
+  for (MemoMode Memo : {MemoMode::Off, MemoMode::Full}) {
     for (Backend B : {Backend::Sequential, Backend::Parallel}) {
       for (size_t Batch : {size_t(3), size_t(4096)}) {
         if (B == Backend::Sequential && Batch != 4096)
@@ -208,7 +209,8 @@ TEST(MemoTest, RacesBitIdenticalAcrossModesAndBackends) {
         if (Memo == MemoMode::Off) {
           EXPECT_EQ(R.Reader.MemoHits, 0u);
         } else {
-          // The decode cache serves every repeated body chunk.
+          // The chunk cache verifies every repeated body chunk and skips
+          // its decode (summary replay or decoded-batch cache).
           EXPECT_GT(R.Reader.MemoHits, 0u);
           EXPECT_GT(R.Reader.MemoBytesSaved, 0u);
           EXPECT_GT(R.Reader.MemoCacheEntries, 0u);
@@ -218,7 +220,7 @@ TEST(MemoTest, RacesBitIdenticalAcrossModesAndBackends) {
           EXPECT_GT(R.Memo.SummaryRecords, 0u);
           EXPECT_GT(R.Memo.EventsReplayed, 0u);
         } else {
-          // Other modes/backends degrade to decode-level caching.
+          // The parallel backend memoizes chunk decodes only.
           EXPECT_EQ(R.Memo.SummaryHits, 0u);
           EXPECT_EQ(R.Memo.EventsReplayed, 0u);
         }
@@ -339,18 +341,20 @@ TEST(MemoTest, CliMemoSurface) {
     writeRepetitiveTrace(OS, smallConfig());
   }
 
-  for (const char *Verb : {"check", "profile", "analyze", "bench"}) {
-    std::ostringstream Out, Err;
-    int RC = cli::crdMain({Verb, Path, "--memo=bogus"}, Out, Err);
-    SCOPED_TRACE(Verb);
-    EXPECT_EQ(RC, 2);
-    EXPECT_NE(Err.str().find("unknown --memo mode 'bogus'"),
-              std::string::npos)
-        << Err.str();
-    EXPECT_NE(Err.str().find("accepted: off, decode, full"),
-              std::string::npos)
-        << Err.str();
-  }
+  for (const char *Verb : {"check", "profile", "analyze", "bench"})
+    for (const char *Mode : {"bogus", "decode"}) {
+      std::ostringstream Out, Err;
+      int RC =
+          cli::crdMain({Verb, Path, std::string("--memo=") + Mode}, Out, Err);
+      SCOPED_TRACE(testing::Message() << Verb << " --memo=" << Mode);
+      EXPECT_EQ(RC, 2);
+      EXPECT_NE(Err.str().find(std::string("unknown --memo mode '") + Mode +
+                               "'"),
+                std::string::npos)
+          << Err.str();
+      EXPECT_NE(Err.str().find("(accepted: off, full)"), std::string::npos)
+          << Err.str();
+    }
 
   {
     std::ostringstream Out, Err;
@@ -383,24 +387,27 @@ TEST(MemoTest, CliMemoSurface) {
   }
 
   {
-    // The trace is racy, so check exits 1 under every memo mode with the
-    // same report line.
-    std::string Reports[3];
-    int I = 0;
-    for (const char *Mode : {"off", "decode", "full"}) {
-      std::ostringstream Out, Err;
-      int RC = cli::crdMain(
-          {"check", Path, std::string("--memo=") + Mode}, Out, Err);
-      EXPECT_EQ(RC, 1) << Err.str();
-      Reports[I++] = Out.str();
-    }
-    EXPECT_EQ(Reports[0], Reports[1]);
-    EXPECT_EQ(Reports[0], Reports[2]);
+    // The trace is racy, so check exits 1 under every memo mode and
+    // backend with the same report line.
+    std::vector<std::string> Reports;
+    for (const char *Mode : {"off", "full"})
+      for (const char *Detector : {"seq", "parallel"}) {
+        std::ostringstream Out, Err;
+        int RC = cli::crdMain({"check", Path, std::string("--memo=") + Mode,
+                               std::string("--detector=") + Detector,
+                               "--shards=2"},
+                              Out, Err);
+        EXPECT_EQ(RC, 1) << Err.str();
+        Reports.push_back(Out.str());
+      }
+    for (const std::string &R : Reports)
+      EXPECT_EQ(R, Reports[0]);
   }
 }
 
 //===----------------------------------------------------------------------===//
-// MemoMode::Full decodes a verified repeat only on demand. These pin the
+// ChunkCache::PayloadIndex decodes a verified repeat only on demand. These
+// pin the
 // edges of that: fallback from a file, counters under interleaved
 // skip/finish, a forged repeat, and empty chunks.
 //===----------------------------------------------------------------------===//
@@ -460,7 +467,7 @@ TEST(MemoTest, InterleavedSkipAndFinishKeepCountsExact) {
   std::istringstream In(Wire);
   DiagnosticEngine Diags;
   WireReader Reader(In, Diags);
-  Reader.setMemoMode(MemoMode::Full);
+  Reader.setChunkCache(ChunkCache::PayloadIndex);
   size_t Pos = 0, Chunk = 0, Skipped = 0, Finished = 0;
   while (std::optional<WireReader::ChunkView> View = Reader.beginChunk()) {
     ASSERT_EQ(View->Events, Info->Chunks[Chunk].Events);
@@ -514,7 +521,7 @@ TEST(MemoTest, InterleavedSkipAndFinishKeepCountsExact) {
   EXPECT_EQ(S.MemoHits + S.MemoMisses, Info->Chunks.size());
   EXPECT_GT(S.MemoHits, 0u);
   EXPECT_GT(S.MemoBytesSaved, 0u);
-  // Full mode holds payloads only.
+  // The payload index holds payloads only.
   size_t DistinctPayloads = 0;
   std::set<uint64_t> Digests;
   for (const WireChunkInfo &Ch : Info->Chunks)
@@ -545,10 +552,11 @@ TEST(MemoTest, ForgedRepeatTakesColdPath) {
            crc32(Wire.data() + PayloadAt, Repeat->PayloadBytes));
 
   WireReaderStats OffStats, FullStats, DecodeStats;
-  std::string OffDiag = drainDiagnostics(Wire, MemoMode::Off, &OffStats);
-  std::string FullDiag = drainDiagnostics(Wire, MemoMode::Full, &FullStats);
+  std::string OffDiag = drainDiagnostics(Wire, ChunkCache::Off, &OffStats);
+  std::string FullDiag =
+      drainDiagnostics(Wire, ChunkCache::PayloadIndex, &FullStats);
   std::string DecodeDiag =
-      drainDiagnostics(Wire, MemoMode::Decode, &DecodeStats);
+      drainDiagnostics(Wire, ChunkCache::DecodedBatches, &DecodeStats);
   EXPECT_NE(OffDiag.find("chunk digest mismatch"), std::string::npos)
       << OffDiag;
   EXPECT_EQ(FullDiag, OffDiag);
@@ -585,20 +593,28 @@ TEST(MemoTest, ZeroEventChunksInEveryMode) {
   Padded += Empty;
 
   AnalyzeResult Baseline = analyzeWire(Wire, PipelineOptions{});
-  for (MemoMode Memo : {MemoMode::Off, MemoMode::Decode, MemoMode::Full}) {
-    SCOPED_TRACE(testing::Message() << "memo=" << int(Memo));
-    PipelineOptions Opts;
-    Opts.Memo = Memo;
-    AnalyzeResult R = analyzeWire(Padded, Opts);
-    EXPECT_EQ(R.Summary.Events, Events);
-    EXPECT_EQ(R.Reader.Events, Events);
-    EXPECT_EQ(R.Reader.Chunks, Info->Chunks.size() + 3);
-    EXPECT_TRUE(R.Races == Baseline.Races);
+  for (MemoMode Memo : {MemoMode::Off, MemoMode::Full})
+    for (Backend B : {Backend::Sequential, Backend::Parallel}) {
+      SCOPED_TRACE(testing::Message()
+                   << "memo=" << int(Memo) << " backend=" << int(B));
+      PipelineOptions Opts;
+      Opts.TheBackend = B;
+      Opts.Shards = 2;
+      Opts.Memo = Memo;
+      AnalyzeResult R = analyzeWire(Padded, Opts);
+      EXPECT_EQ(R.Summary.Events, Events);
+      EXPECT_EQ(R.Reader.Events, Events);
+      EXPECT_EQ(R.Reader.Chunks, Info->Chunks.size() + 3);
+      EXPECT_TRUE(R.Races == Baseline.Races);
+    }
 
+  for (ChunkCache Cache : {ChunkCache::Off, ChunkCache::DecodedBatches,
+                           ChunkCache::PayloadIndex}) {
+    SCOPED_TRACE(testing::Message() << "cache=" << int(Cache));
     std::istringstream In(Padded);
     DiagnosticEngine Diags;
     WireReader Reader(In, Diags);
-    Reader.setMemoMode(Memo);
+    Reader.setChunkCache(Cache);
     Event E = Event::txBegin(ThreadId(0));
     size_t N = 0;
     while (Reader.next(E))

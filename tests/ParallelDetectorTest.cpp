@@ -93,7 +93,7 @@ TEST_P(ParallelEquivalenceTest, RandomTracesAllShardCounts) {
   // to 4 actually distributes work.
   Trace T = randomTrace(GetParam(), /*Workers=*/4, /*OpsPerWorker=*/40,
                         /*Keys=*/4, /*Maps=*/4);
-  for (unsigned Shards : {1u, 2u, 4u, 8u}) {
+  for (unsigned Shards : {2u, 4u, 8u}) {
     expectEquivalent(T, dictRep(), Shards);
     expectEquivalent(T, translatedDict(), Shards);
   }
@@ -115,7 +115,7 @@ TEST(ParallelDetectorTest, Fig3ScenarioMatchesSequential) {
                 .join(0, 2)
                 .invoke(0, 1, "size", {}, Value::integer(1))
                 .take();
-  for (unsigned Shards : {1u, 2u, 4u})
+  for (unsigned Shards : {2u, 4u})
     expectEquivalent(T, dictRep(), Shards);
 }
 
@@ -133,7 +133,7 @@ TEST(ParallelDetectorTest, ManyObjectsSpreadAcrossShards) {
               Value::integer(1));
   }
   Trace T = TB.take();
-  for (unsigned Shards : {1u, 2u, 4u, 8u})
+  for (unsigned Shards : {2u, 4u, 8u})
     expectEquivalent(T, dictRep(), Shards);
 
   ParallelDetector Parallel(4);
@@ -214,7 +214,7 @@ TEST(ParallelDetectorTest, TinyBatchesMatchSequentialAllShardCounts) {
   // partial batches for flush() to sweep. All must stay bit-identical.
   Trace T = randomTrace(/*Seed=*/7, /*Workers=*/4, /*OpsPerWorker=*/40,
                         /*Keys=*/4, /*Maps=*/4);
-  for (unsigned Shards : {1u, 2u, 4u})
+  for (unsigned Shards : {2u, 4u})
     for (size_t Batch : {size_t(1), size_t(3), size_t(17), size_t(4096)})
       expectEquivalent(T, dictRep(), Shards, Batch);
 }
@@ -285,7 +285,7 @@ TEST(ParallelDetectorTest, CrossCallCarryOverAllBatchAndShardCombos) {
   Sequential.setDefaultProvider(&dictRep());
   Sequential.processTrace(Whole);
 
-  for (unsigned Shards : {1u, 2u, 4u})
+  for (unsigned Shards : {2u, 4u})
     for (size_t Batch : {size_t(1), size_t(5), size_t(64), size_t(4096)}) {
       ParallelDetector Parallel(Shards, Batch);
       Parallel.setDefaultProvider(&dictRep());

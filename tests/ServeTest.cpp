@@ -197,32 +197,27 @@ std::pair<int, std::string> runCli(std::vector<std::string> Argv) {
 
 struct ModeCase {
   const char *Detector;
-  const char *Memo; ///< nullptr = no --memo flag.
+  const char *Memo;
 };
 
+/// Every backend × memo mode. Under memo=full the sequential backend
+/// replays chunk summaries and the other three use the decoded-batch cache.
 const ModeCase Matrix[] = {
-    {"seq", nullptr},        {"seq", "decode"},      {"seq", "full"},
-    {"parallel", nullptr},   {"parallel", "decode"}, {"parallel", "full"},
-    {"fasttrack", nullptr},  {"fasttrack", "decode"},
-    {"atomicity", nullptr},  {"atomicity", "decode"},
+    {"seq", "off"},       {"seq", "full"},       {"parallel", "off"},
+    {"parallel", "full"}, {"fasttrack", "off"},  {"fasttrack", "full"},
+    {"atomicity", "off"}, {"atomicity", "full"},
 };
 
 std::vector<std::string> checkArgs(const TestTrace &T, const ModeCase &M) {
-  std::vector<std::string> A{"check", std::string("--detector=") + M.Detector};
-  if (M.Memo)
-    A.push_back(std::string("--memo=") + M.Memo);
-  A.push_back(T.Path);
-  return A;
+  return {"check", std::string("--detector=") + M.Detector,
+          std::string("--memo=") + M.Memo, T.Path};
 }
 
 std::vector<std::string> clientArgs(const Daemon &D, const TestTrace &T,
                                     const ModeCase &M) {
-  std::vector<std::string> A{"serve", "--connect=" + D.SockPath,
-                             "--trace=" + T.Path,
-                             std::string("--detector=") + M.Detector};
-  if (M.Memo)
-    A.push_back(std::string("--memo=") + M.Memo);
-  return A;
+  return {"serve", "--connect=" + D.SockPath, "--trace=" + T.Path,
+          std::string("--detector=") + M.Detector,
+          std::string("--memo=") + M.Memo};
 }
 
 //===----------------------------------------------------------------------===//
@@ -236,8 +231,7 @@ TEST(ServeTest, ClientMatchesCheckAcrossBackendsAndMemoModes) {
     auto [CheckExit, CheckOut] = runCli(checkArgs(T, M));
     auto [ServeExit, ServeOut] = runCli(clientArgs(D, T, M));
     EXPECT_EQ(ServeOut, CheckOut)
-        << "detector=" << M.Detector
-        << " memo=" << (M.Memo ? M.Memo : "(none)");
+        << "detector=" << M.Detector << " memo=" << M.Memo;
     EXPECT_EQ(ServeExit, CheckExit) << "detector=" << M.Detector;
   }
 }
@@ -428,6 +422,40 @@ TEST(ServeTest, BadHandshakeIsRejected) {
   EXPECT_NE(Reply.find("\"type\":\"error\""), std::string::npos) << Reply;
 }
 
+TEST(ServeTest, HandshakeSpellsTheCliValues) {
+  serve::Handshake H;
+  std::string Error;
+  // The default handshake renders and parses back; memo=off and memo=full
+  // are the only memo modes.
+  ASSERT_TRUE(serve::parseHandshake(serve::renderHandshake(serve::Handshake()),
+                                    H, Error))
+      << Error;
+  ASSERT_TRUE(serve::parseHandshake(
+      "crd-serve/1 detector=seq batch=4096 memo=off", H, Error))
+      << Error;
+  ASSERT_TRUE(serve::parseHandshake(
+      "crd-serve/1 detector=atomicity memo=full", H, Error))
+      << Error;
+  EXPECT_EQ(H.TheBackend, wire::Backend::Atomicity);
+  EXPECT_EQ(H.Memo, wire::MemoMode::Full);
+
+  EXPECT_FALSE(serve::parseHandshake("crd-serve/1 memo=decode", H, Error));
+  EXPECT_NE(Error.find("unknown memo mode 'decode' (accepted: off, full)"),
+            std::string::npos)
+      << Error;
+  EXPECT_FALSE(serve::parseHandshake("crd-serve/1 detector=x", H, Error));
+  EXPECT_NE(
+      Error.find("(accepted: seq, parallel, fasttrack, atomicity)"),
+      std::string::npos)
+      << Error;
+
+  // The same caps as the CLI; parsing only, no session is started.
+  EXPECT_TRUE(serve::parseHandshake("crd-serve/1 shards=1024", H, Error));
+  EXPECT_FALSE(serve::parseHandshake("crd-serve/1 shards=1025", H, Error));
+  EXPECT_TRUE(serve::parseHandshake("crd-serve/1 batch=16777216", H, Error));
+  EXPECT_FALSE(serve::parseHandshake("crd-serve/1 batch=16777217", H, Error));
+}
+
 //===----------------------------------------------------------------------===//
 // Daemon lifecycle
 //===----------------------------------------------------------------------===//
@@ -435,7 +463,7 @@ TEST(ServeTest, BadHandshakeIsRejected) {
 TEST(ServeTest, StatusDocumentReportsSessions) {
   TestTrace T;
   Daemon D;
-  runCli(clientArgs(D, T, {"seq", nullptr}));
+  runCli(clientArgs(D, T, {"seq", "off"}));
   auto [Exit, Out] = runCli({"serve", "--connect=" + D.SockPath, "--status"});
   EXPECT_EQ(Exit, 0);
   EXPECT_NE(Out.find("\"sessions_opened\""), std::string::npos) << Out;
@@ -449,7 +477,7 @@ TEST(ServeTest, IdleDaemonTrimsItsHeap) {
   TestTrace T;
   Daemon D;
   for (int I = 0; I != 3; ++I)
-    runCli(clientArgs(D, T, {"seq", nullptr}));
+    runCli(clientArgs(D, T, {"seq", "off"}));
   // A status request is a connection too, so read only after idling.
   std::this_thread::sleep_for(std::chrono::milliseconds(1500));
   auto [Exit, Out] = runCli({"serve", "--connect=" + D.SockPath, "--status"});

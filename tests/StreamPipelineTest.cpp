@@ -72,6 +72,19 @@ void expectRacesIdentical(const std::vector<CommutativityRace> &A,
                               << "\n  " << B[I].toString();
 }
 
+/// A parallel request for one shard runs the sequential detector; two or
+/// more run the shard pipeline. Returns true for the sequential route.
+bool routedToSequential(const StreamPipeline &P, unsigned Shards) {
+  if (Shards >= 2) {
+    EXPECT_NE(P.parallelDetector(), nullptr);
+    EXPECT_EQ(P.sequentialDetector(), nullptr);
+    return false;
+  }
+  EXPECT_EQ(P.parallelDetector(), nullptr);
+  EXPECT_NE(P.sequentialDetector(), nullptr);
+  return true;
+}
+
 } // namespace
 
 //===----------------------------------------------------------------------===//
@@ -158,6 +171,7 @@ TEST(StreamPipelineTest, ParallelBackendBitIdenticalAcrossBatchesAndShards) {
       EXPECT_EQ(S.Events, T.size())
           << "batch=" << Batch << " shards=" << Shards;
       expectRacesIdentical(P->races(), Reference.races());
+      routedToSequential(*P, Shards);
     }
   }
 }
@@ -208,7 +222,13 @@ TEST(StreamPipelineTest, MetricsSnapshotAccountsForEveryEvent) {
       SCOPED_TRACE(::testing::Message()
                    << "batch=" << Batch << " shards=" << Shards);
 
-      ASSERT_NE(P->parallelDetector(), nullptr);
+      EXPECT_EQ(S.Events, T.size());
+      if (routedToSequential(*P, Shards)) {
+        if (metrics::Enabled) {
+          EXPECT_EQ(P->sequentialDetector()->engineStats().Actions, Actions);
+        }
+        continue;
+      }
       ParallelMetrics M = P->parallelDetector()->metricsSnapshot();
       EXPECT_EQ(M.Events, T.size());
       EXPECT_EQ(S.Events, T.size());
@@ -255,6 +275,8 @@ TEST(StreamPipelineTest, BatchSpansCoverEveryDispatchedBatch) {
     Opts.TraceBatches = true;
     runBinary(T, Opts, P);
     SCOPED_TRACE(::testing::Message() << "shards=" << Shards);
+    if (routedToSequential(*P, Shards))
+      continue; // No batches, so no spans to cover.
 
     ParallelMetrics M = P->parallelDetector()->metricsSnapshot();
     uint64_t Batches = 0, SpanEvents = 0;
@@ -407,6 +429,8 @@ TEST(StreamPipelineTest, AllSyncTraceHasOnlyDegenerateRuns) {
 
       EXPECT_EQ(S.Events, T.size());
       EXPECT_EQ(S.Races, 0u);
+      if (routedToSequential(*P, Shards))
+        continue;
       ParallelMetrics M = P->parallelDetector()->metricsSnapshot();
       EXPECT_EQ(M.Actions, 0u);
       uint64_t Routed = 0;

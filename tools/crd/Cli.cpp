@@ -201,13 +201,14 @@ const char CheckHelp[] =
     "  --detector=seq|parallel|fasttrack|atomicity   backend (default seq)\n"
     "  --spec=FILE        ECL spec for action commutativity (default:\n"
     "                     builtin dictionary, paper Fig 6)\n"
-    "  --shards=N         parallel backend: worker shards (default: cores)\n"
+    "  --shards=N         parallel backend: worker shards (default: cores;\n"
+    "                     one shard runs the seq detector)\n"
     "  --batch=N          parallel backend: events per batch (default 4096)\n"
-    "  --memo[=off|decode|full]   chunk memoization for binary traces with\n"
-    "                     content digests (default off; bare --memo = full).\n"
-    "                     decode caches repeated chunk decodes; full also\n"
-    "                     replays detector chunk summaries (seq backend).\n"
-    "                     Races are identical in every mode\n"
+    "  --memo[=off|full]  chunk memoization for binary traces with content\n"
+    "                     digests (default off; bare --memo = full). The seq\n"
+    "                     backend replays detector chunk summaries, the\n"
+    "                     others skip repeated chunk decodes. Races are\n"
+    "                     identical in every mode\n"
     "  --quiet            suppress per-race lines, print the summary only\n";
 
 int runCheck(const ParsedArgs &Args, std::ostream &Out, std::ostream &Err) {
@@ -226,36 +227,7 @@ int runCheck(const ParsedArgs &Args, std::ostream &Out, std::ostream &Err) {
   }
 
   wire::PipelineOptions Opts;
-  std::string DetectorName = Args.option("detector").value_or("seq");
-  if (DetectorName == "seq")
-    Opts.TheBackend = wire::Backend::Sequential;
-  else if (DetectorName == "parallel")
-    Opts.TheBackend = wire::Backend::Parallel;
-  else if (DetectorName == "fasttrack")
-    Opts.TheBackend = wire::Backend::FastTrack;
-  else if (DetectorName == "atomicity")
-    Opts.TheBackend = wire::Backend::Atomicity;
-  else {
-    Err << "error: unknown detector '" << DetectorName << "'\n" << CheckHelp;
-    return ExitUsage;
-  }
-  if (auto S = Args.option("shards")) {
-    auto N = parseCount(*S);
-    if (!N) {
-      Err << "error: --shards expects an integer\n";
-      return ExitUsage;
-    }
-    Opts.Shards = static_cast<unsigned>(*N);
-  }
-  if (auto B = Args.option("batch")) {
-    auto N = parseCount(*B);
-    if (!N || *N == 0) {
-      Err << "error: --batch expects a positive integer\n";
-      return ExitUsage;
-    }
-    Opts.BatchSize = static_cast<size_t>(*N);
-  }
-  if (!parseMemoMode(Args, Opts.Memo, Err))
+  if (!parseDetectorOptions(Args, Opts, Err))
     return ExitUsage;
   bool Quiet = Args.option("quiet").has_value();
 
@@ -460,7 +432,7 @@ const char BenchHelp[] =
     "options:\n"
     "  --reps=N           repetitions per configuration (default 5)\n"
     "  --spec=FILE        spec for the decode+detect configuration\n"
-    "  --memo[=off|decode|full]   chunk memoization for the decode+detect\n"
+    "  --memo[=off|full]  chunk memoization for the decode+detect\n"
     "                     configuration (default off; bare --memo = full)\n";
 
 double bestSeconds(unsigned Reps, const std::function<void()> &Fn) {
@@ -496,8 +468,8 @@ int runBench(const ParsedArgs &Args, std::ostream &Out, std::ostream &Err) {
     }
     Reps = static_cast<unsigned>(*N);
   }
-  wire::MemoMode Memo = wire::MemoMode::Off;
-  if (!parseMemoMode(Args, Memo, Err))
+  wire::PipelineOptions POpts;
+  if (!parseDetectorOptions(Args, POpts, Err))
     return ExitUsage;
 
   int Exit = ExitClean;
@@ -557,8 +529,6 @@ int runBench(const ParsedArgs &Args, std::ostream &Out, std::ostream &Err) {
     std::istringstream In(Binary);
     DiagnosticEngine D;
     wire::BinaryStreamSource Src(In, D);
-    wire::PipelineOptions POpts;
-    POpts.Memo = Memo;
     wire::StreamPipeline Pipeline(POpts);
     Pipeline.setDefaultProvider(Rep.get());
     Pipeline.run(Src);
@@ -623,14 +593,16 @@ const char ProfileHelp[] =
     "                       not profiled here: a live session is driven by\n"
     "                       'crd record --stress' (ingest metrics via its\n"
     "                       --json flag); profile reads recorded traces\n"
-    "  --backend=seq|parallel|fasttrack|atomicity   backend (default seq)\n"
+    "  --detector=seq|parallel|fasttrack|atomicity   backend (default seq)\n"
     "  --spec=FILE          ECL spec for action commutativity (default:\n"
     "                       builtin dictionary, paper Fig 6)\n"
-    "  --shards=N           parallel backend: worker shards (default: cores)\n"
+    "  --shards=N           parallel backend: worker shards (default: cores;\n"
+    "                       one shard runs the seq detector)\n"
     "  --batch=N            parallel backend: events per batch (default 4096)\n"
-    "  --chrome-trace=FILE  parallel backend: also write a chrome://tracing\n"
-    "                       timeline of per-shard batch lifetimes to FILE\n"
-    "  --memo[=off|decode|full]   chunk memoization for binary traces with\n"
+    "  --chrome-trace=FILE  parallel backend with two or more shards: also\n"
+    "                       write a chrome://tracing timeline of per-shard\n"
+    "                       batch lifetimes to FILE\n"
+    "  --memo[=off|full]    chunk memoization for binary traces with\n"
     "                       content digests (default off; bare --memo =\n"
     "                       full). The snapshot's \"memo\" and \"source\"\n"
     "                       objects report hit/miss/replay counters\n";
@@ -638,14 +610,14 @@ const char ProfileHelp[] =
 int runProfile(const std::vector<std::string> &Raw, std::ostream &Out,
                std::ostream &Err) {
   ParsedArgs Args(joinValueOptions(
-      Raw, {"--source", "--backend", "--spec", "--shards", "--batch",
+      Raw, {"--source", "--detector", "--spec", "--shards", "--batch",
             "--chrome-trace"}));
 
   if (Args.Help) {
     Out << ProfileHelp;
     return ExitClean;
   }
-  if (auto Bad = Args.unknownOption({"source", "backend", "spec", "shards",
+  if (auto Bad = Args.unknownOption({"source", "detector", "spec", "shards",
                                      "batch", "chrome-trace", "memo"})) {
     Err << "error: unknown option --" << *Bad << "\n" << ProfileHelp;
     return ExitUsage;
@@ -675,40 +647,11 @@ int runProfile(const std::vector<std::string> &Raw, std::ostream &Out,
   }
 
   wire::PipelineOptions Opts;
-  std::string BackendName = Args.option("backend").value_or("seq");
-  if (BackendName == "seq")
-    Opts.TheBackend = wire::Backend::Sequential;
-  else if (BackendName == "parallel")
-    Opts.TheBackend = wire::Backend::Parallel;
-  else if (BackendName == "fasttrack")
-    Opts.TheBackend = wire::Backend::FastTrack;
-  else if (BackendName == "atomicity")
-    Opts.TheBackend = wire::Backend::Atomicity;
-  else {
-    Err << "error: unknown backend '" << BackendName << "'\n" << ProfileHelp;
-    return ExitUsage;
-  }
-  if (auto S = Args.option("shards")) {
-    auto N = parseCount(*S);
-    if (!N) {
-      Err << "error: --shards expects an integer\n";
-      return ExitUsage;
-    }
-    Opts.Shards = static_cast<unsigned>(*N);
-  }
-  if (auto B = Args.option("batch")) {
-    auto N = parseCount(*B);
-    if (!N || *N == 0) {
-      Err << "error: --batch expects a positive integer\n";
-      return ExitUsage;
-    }
-    Opts.BatchSize = static_cast<size_t>(*N);
-  }
-  if (!parseMemoMode(Args, Opts.Memo, Err))
+  if (!parseDetectorOptions(Args, Opts, Err))
     return ExitUsage;
   std::string ChromePath = Args.option("chrome-trace").value_or("");
   if (!ChromePath.empty() && Opts.TheBackend != wire::Backend::Parallel) {
-    Err << "error: --chrome-trace requires --backend=parallel\n";
+    Err << "error: --chrome-trace requires --detector=parallel\n";
     return ExitUsage;
   }
   Opts.TraceBatches = !ChromePath.empty();
@@ -733,6 +676,11 @@ int runProfile(const std::vector<std::string> &Raw, std::ostream &Out,
   }
 
   wire::StreamPipeline Pipeline(Opts);
+  if (!ChromePath.empty() && !Pipeline.parallelDetector())
+    return rejectUnsupported(
+        Err, "profile", "--chrome-trace with one shard",
+        "a one-shard parallel request runs the sequential detector, which "
+        "has no batch timeline; pass --shards=2 or more");
   if (Rep)
     Pipeline.setDefaultProvider(Rep.get());
   Pipeline.run(*Source);
@@ -751,7 +699,7 @@ int runProfile(const std::vector<std::string> &Raw, std::ostream &Out,
     }
     ParallelMetrics M = Pipeline.parallelDetector()->metricsSnapshot();
     // Annotate the timeline with the decode-cache counters when --memo is
-    // active (the parallel backend degrades full to decode-level caching).
+    // active (the parallel backend memoizes chunk decodes only).
     ChromeTraceAnnotation MemoNote;
     const ChromeTraceAnnotation *Note = nullptr;
     if (Opts.Memo != wire::MemoMode::Off) {
@@ -790,12 +738,10 @@ const char AnalyzeHelp[] =
     "commutativity-aware atomicity violations.\n"
     "\n"
     "options:\n"
-    "  --memo[=off|decode|full]   chunk memoization for the commutativity\n"
-    "                     pass over binary traces with content digests\n"
-    "                     (default off; bare --memo = full). decode caches\n"
-    "                     repeated chunk decodes; full also replays\n"
-    "                     detector chunk summaries. Races are identical\n"
-    "                     in every mode\n";
+    "  --memo[=off|full]  chunk memoization for the commutativity pass over\n"
+    "                     binary traces with content digests (default off;\n"
+    "                     bare --memo = full): replays detector chunk\n"
+    "                     summaries. Races are identical in every mode\n";
 
 } // namespace
 
@@ -810,8 +756,8 @@ int cli::runAnalyze(const std::vector<std::string> &Args, std::ostream &Out,
     Err << "error: unknown option --" << *Bad << "\n" << AnalyzeHelp;
     return ExitUsage;
   }
-  wire::MemoMode Memo = wire::MemoMode::Off;
-  if (!parseMemoMode(Parsed, Memo, Err))
+  wire::PipelineOptions POpts;
+  if (!parseDetectorOptions(Parsed, POpts, Err))
     return ExitUsage;
   if (Parsed.Positional.empty() || Parsed.Positional.size() > 2) {
     Err << AnalyzeHelp;
@@ -850,15 +796,13 @@ int cli::runAnalyze(const std::vector<std::string> &Args, std::ostream &Out,
     return Exit;
 
   // The commutativity pass streams through the pipeline when memoization
-  // is requested (the decode cache and chunk summaries live there); the
+  // is requested (the chunk summaries live there); the
   // materialized trace drives it otherwise. Races are bit-identical.
   CommutativityRaceDetector RD2;
-  wire::PipelineOptions POpts;
-  POpts.Memo = Memo;
   wire::StreamPipeline MemoPipeline(POpts);
   const std::vector<CommutativityRace> *CRaces = nullptr;
   size_t DistinctObjs = 0;
-  if (Memo != wire::MemoMode::Off) {
+  if (POpts.Memo != wire::MemoMode::Off) {
     MemoPipeline.setDefaultProvider(Rep.get());
     DiagnosticEngine StreamDiags;
     auto StreamSource = wire::openEventSource(TracePath, StreamDiags);

@@ -6,7 +6,7 @@
 ///
 /// \file
 /// Argument-parsing and spec-loading helpers shared by the subcommand
-/// translation units (Cli.cpp, RecordCmd.cpp). Internal to the crd tool —
+/// translation units (Cli.cpp, RecordCmd.cpp, ServeCmd.cpp). Internal to the crd tool —
 /// not part of the crd_cli library's public surface.
 ///
 //===----------------------------------------------------------------------===//
@@ -18,8 +18,9 @@
 
 #include "spec/Builtins.h"
 #include "spec/SpecParser.h"
+#include "support/EnumNames.h"
 #include "translate/Translator.h"
-#include "wire/WireReader.h"
+#include "wire/StreamPipeline.h"
 
 #include <fstream>
 #include <memory>
@@ -152,25 +153,59 @@ loadProvider(const std::string &SpecPath, std::ostream &Err, int &Exit) {
   return Rep;
 }
 
-/// Parses the `--memo[=off|decode|full]` option shared by the analysis
-/// subcommands (bare `--memo` means full). Leaves \p Out untouched when
-/// the option is absent; returns false after printing a usage error when
-/// the value is not in the accepted set.
-inline bool parseMemoMode(const ParsedArgs &Args, wire::MemoMode &Out,
-                          std::ostream &Err) {
-  auto V = Args.option("memo");
-  if (!V)
-    return true;
-  if (V->empty() || *V == "full")
-    Out = wire::MemoMode::Full;
-  else if (*V == "off")
-    Out = wire::MemoMode::Off;
-  else if (*V == "decode")
-    Out = wire::MemoMode::Decode;
-  else {
-    Err << "error: unknown --memo mode '" << *V
-        << "' (accepted: off, decode, full)\n";
-    return false;
+/// Parses the detector options every verb spells the same way:
+/// `--detector=seq|parallel|fasttrack|atomicity`, `--shards=N` (at most
+/// wire::MaxShards), `--batch=N` (1..wire::MaxBatchSize) and
+/// `--memo[=off|full]` (bare `--memo` means full). A verb rejects the
+/// ones it does not take through ParsedArgs::unknownOption() first. Absent
+/// options leave their \p Opts field untouched. \p Detect, when non-null,
+/// also admits `--detector=none` and reports it as false (crd record
+/// drains without detection). Returns false after printing one usage error.
+inline bool parseDetectorOptions(const ParsedArgs &Args,
+                                 wire::PipelineOptions &Opts,
+                                 std::ostream &Err, bool *Detect = nullptr) {
+  if (auto V = Args.option("detector")) {
+    if (Detect)
+      *Detect = *V != "none";
+    if (!Detect || *Detect) {
+      auto B = enumFromName<wire::Backend>(wire::BackendNames, *V);
+      if (!B) {
+        Err << "error: unknown --detector '" << *V
+            << "' (accepted: " << joinNames(wire::BackendNames)
+            << (Detect ? ", none" : "") << ")\n";
+        return false;
+      }
+      Opts.TheBackend = *B;
+    }
+  }
+  if (auto V = Args.option("shards")) {
+    auto N = parseCount(*V);
+    if (!N || *N > wire::MaxShards) {
+      Err << "error: --shards expects an integer <= " << wire::MaxShards
+          << "\n";
+      return false;
+    }
+    Opts.Shards = static_cast<unsigned>(*N);
+  }
+  if (auto V = Args.option("batch")) {
+    auto N = parseCount(*V);
+    if (!N || *N == 0 || *N > wire::MaxBatchSize) {
+      Err << "error: --batch expects a positive integer <= "
+          << wire::MaxBatchSize << "\n";
+      return false;
+    }
+    Opts.BatchSize = static_cast<size_t>(*N);
+  }
+  if (auto V = Args.option("memo")) {
+    std::optional<wire::MemoMode> M = wire::MemoMode::Full;
+    if (!V->empty())
+      M = enumFromName<wire::MemoMode>(wire::MemoModeNames, *V);
+    if (!M) {
+      Err << "error: unknown --memo mode '" << *V
+          << "' (accepted: " << joinNames(wire::MemoModeNames) << ")\n";
+      return false;
+    }
+    Opts.Memo = *M;
   }
   return true;
 }

@@ -58,7 +58,8 @@ const char RecordHelp[] =
     "                       DropNewest with counted drops (default block)\n"
     "  --detector=seq|parallel|none   live backend (default seq; none =\n"
     "                       drain without detection)\n"
-    "  --shards=N           parallel backend: worker shards (default: cores)\n"
+    "  --shards=N           parallel backend: worker shards (default: cores;\n"
+    "                       one shard runs the seq detector)\n"
     "  --batch=N            events per collector batch (default 4096)\n"
     "  --objects=N          shared objects all producers touch (default 8;\n"
     "                       0 = one private object per producer, race-free)\n"
@@ -223,36 +224,16 @@ int crd::cli::internal::runRecord(const std::vector<std::string> &Raw,
 
   wire::PipelineOptions POpts;
   bool Detect = true;
-  std::string DetectorName = Args.option("detector").value_or("seq");
-  if (DetectorName == "seq")
-    POpts.TheBackend = wire::Backend::Sequential;
-  else if (DetectorName == "parallel")
-    POpts.TheBackend = wire::Backend::Parallel;
-  else if (DetectorName == "none")
-    Detect = false;
-  else {
-    Err << "error: unknown detector '" << DetectorName
-        << "' (seq, parallel, or none)\n";
+  if (!parseDetectorOptions(Args, POpts, Err, &Detect))
     return ExitUsage;
-  }
-  if (auto S = Args.option("shards")) {
-    auto N = parseCount(*S);
-    if (!N) {
-      Err << "error: --shards expects an integer\n";
-      return ExitUsage;
-    }
-    POpts.Shards = static_cast<unsigned>(*N);
-  }
-  size_t Batch = 4096;
-  if (auto B = Args.option("batch")) {
-    auto N = parseCount(*B);
-    if (!N || *N == 0) {
-      Err << "error: --batch expects a positive integer\n";
-      return ExitUsage;
-    }
-    Batch = static_cast<size_t>(*N);
-  }
-  POpts.BatchSize = Batch;
+  if (Detect && POpts.TheBackend != wire::Backend::Sequential &&
+      POpts.TheBackend != wire::Backend::Parallel)
+    return rejectUnsupported(
+        Err, "record",
+        std::string("--detector=") + wire::backendName(POpts.TheBackend),
+        "live recording reports commutativity races; use seq, parallel or "
+        "none, and run other detectors on an --out recording with "
+        "'crd check'");
 
   std::string OutPath = Args.option("out").value_or("");
   bool VerifyReplay = Args.option("verify-replay").has_value();
@@ -292,7 +273,7 @@ int crd::cli::internal::runRecord(const std::vector<std::string> &Raw,
   ingest::SessionOptions SOpts;
   SOpts.RingCapacity = C.Ring;
   SOpts.Policy = C.Policy;
-  SOpts.BatchCapacity = Batch;
+  SOpts.BatchCapacity = POpts.BatchSize;
   SOpts.TraceRounds = !ChromePath.empty();
   ingest::Session Session(SOpts);
   if (Pipeline)
@@ -340,7 +321,8 @@ int crd::cli::internal::runRecord(const std::vector<std::string> &Raw,
   if (Pipeline) {
     wire::StreamSummary Sum = Pipeline->summary();
     Out << "races: " << Sum.Races << " (" << Sum.DistinctRacyObjects
-        << " distinct objects, " << DetectorName << " backend)\n";
+        << " distinct objects, " << wire::backendName(POpts.TheBackend)
+        << " backend)\n";
   }
 
   if (!OutPath.empty()) {

@@ -85,10 +85,11 @@ const char ServeHelp[] =
     "  --waves=N            sequential stress waves (default 1)\n"
     "  --detector=seq|parallel|fasttrack|atomicity   session backend\n"
     "                       (default seq)\n"
-    "  --shards=N           parallel backend: worker shards (default: cores)\n"
+    "  --shards=N           parallel backend: worker shards (default: cores;\n"
+    "                       one shard runs the seq detector)\n"
     "  --batch=N            parallel backend: events per batch (default 4096)\n"
-    "  --memo[=off|decode|full]   chunk memoization for traces with\n"
-    "                       content digests (default off; bare --memo = full)\n"
+    "  --memo[=off|full]    chunk memoization for traces with content\n"
+    "                       digests (default off; bare --memo = full)\n"
     "  --json               print the raw reply lines instead of check-\n"
     "                       format rendering\n";
 
@@ -533,38 +534,14 @@ int runClient(const ParsedArgs &Args, std::ostream &Out, std::ostream &Err) {
     return ExitUsage;
   }
 
+  wire::PipelineOptions Opts;
+  if (!parseDetectorOptions(Args, Opts, Err))
+    return ExitUsage;
   serve::Handshake H;
-  std::string DetectorName = Args.option("detector").value_or("seq");
-  if (DetectorName == "seq")
-    H.TheBackend = wire::Backend::Sequential;
-  else if (DetectorName == "parallel")
-    H.TheBackend = wire::Backend::Parallel;
-  else if (DetectorName == "fasttrack")
-    H.TheBackend = wire::Backend::FastTrack;
-  else if (DetectorName == "atomicity")
-    H.TheBackend = wire::Backend::Atomicity;
-  else {
-    Err << "error: unknown detector '" << DetectorName << "'\n";
-    return ExitUsage;
-  }
-  if (auto S = Args.option("shards")) {
-    auto N = parseCount(*S);
-    if (!N) {
-      Err << "error: --shards expects an integer\n";
-      return ExitUsage;
-    }
-    H.Shards = static_cast<unsigned>(*N);
-  }
-  if (auto B = Args.option("batch")) {
-    auto N = parseCount(*B);
-    if (!N || *N == 0) {
-      Err << "error: --batch expects a positive integer\n";
-      return ExitUsage;
-    }
-    H.BatchSize = static_cast<size_t>(*N);
-  }
-  if (!parseMemoMode(Args, H.Memo, Err))
-    return ExitUsage;
+  H.TheBackend = Opts.TheBackend;
+  H.Shards = Opts.Shards;
+  H.BatchSize = Opts.BatchSize;
+  H.Memo = Opts.Memo;
 
   auto TraceBytes = readFile(*TracePath);
   if (!TraceBytes) {
