@@ -159,7 +159,7 @@ RunResult runOnce(const BenchConfig &C, unsigned Producers, uint64_t Events,
   IngestMetrics M = S.metricsSnapshot();
   R.Drops = M.DropsTotal;
   if (Pipeline)
-    R.Races = Pipeline->races().size();
+    R.Races = Pipeline->summary().Races;
   // Block is lossless by contract; a mismatch is a bug, not noise.
   if (C.Policy == BackpressurePolicy::Block &&
       R.Collected != uint64_t(Producers) * Events)

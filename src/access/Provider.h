@@ -55,8 +55,10 @@ public:
 
   /// Debug name of a class, e.g. "o:w:k". Defaults to "class<N>". The
   /// returned view must stay valid for the provider's lifetime. Race
-  /// reports copy it into an owned CommutativityRace::PointName, because
-  /// a report may outlive the provider.
+  /// reports copy it into an owned CommutativityRace::PointName when the
+  /// record is built: by phase 1 in the sequential detector, at merge
+  /// time for a parallel shard, whose compact ShardRace keeps only the
+  /// provider and class id until then.
   virtual std::string_view className(uint32_t ClassId) const;
 
 private:

@@ -43,9 +43,12 @@
 #include "support/Prefetch.h"
 #include "trace/Event.h"
 
+#include <algorithm>
 #include <array>
+#include <atomic>
 #include <cassert>
 #include <memory>
+#include <type_traits>
 #include <unordered_set>
 #include <utility>
 #include <vector>
@@ -84,8 +87,23 @@ struct Algorithm1Stats {
   uint64_t LookaheadOccupancyMax = 0;
 };
 
+/// The record a parallel shard keeps for each race until the producer
+/// merges its batch: only what phase 1 knows and the batch cannot
+/// reproduce. The event (thread, action) and its run clock stay in the
+/// batch until it is recycled, so the producer rebuilds the full
+/// CommutativityRace from them at merge time. No heap for up to eight
+/// threads, against a deep-copied action and class name per full record.
+struct ShardRace {
+  size_t EventIndex = 0;
+  const AccessPointProvider *Provider = nullptr;
+  uint32_t Partner = 0; ///< The conflicting class: Provider->className().
+  VectorClock PriorClock;
+};
+
 /// Phases 1–2 of Algorithm 1 over per-object active-point tables.
-template <typename ClockRep> class BasicAlgorithm1Engine {
+/// \p RaceRecord is CommutativityRace, or ShardRace for parallel shards.
+template <typename ClockRep, typename RaceRecord = CommutativityRace>
+class BasicAlgorithm1Engine {
   /// Per-object detector state: the active-point table plus the provider
   /// resolved once at creation (re-resolved on bind()/adoptBindings()), so
   /// onAction never consults the bindings table. Heap-allocated so the
@@ -265,14 +283,18 @@ public:
         if (!Prior)
           continue;
         if (!Prior->leq(Clock)) {
-          CommutativityRace Race;
+          RaceRecord &Race = Races.emplace_back();
           Race.EventIndex = EventIndex;
-          Race.Thread = Thread;
-          Race.Current = A;
-          Race.PointName = Provider->className(Partner);
           Race.PriorClock = Prior->toClock();
-          Race.CurrentClock = Clock;
-          Races.push_back(std::move(Race));
+          if constexpr (std::is_same_v<RaceRecord, ShardRace>) {
+            Race.Provider = Provider;
+            Race.Partner = Partner;
+          } else {
+            Race.Thread = Thread;
+            Race.Current = A;
+            Race.PointName = Provider->className(Partner);
+            Race.CurrentClock = Clock;
+          }
           RacyObjects.insert(A.object());
         }
       }
@@ -285,7 +307,7 @@ public:
       if (Inserted || Changed)
         State.Version = ++MutStamp;
       if (Inserted) {
-        ++ActivePoints;
+        addActivePoints(1);
         Activations.inc();
       }
     }
@@ -299,26 +321,46 @@ public:
     if (!State)
       return;
     ++MutStamp; // Erasure is a state mutation (objectVersion drops to 0).
-    ActivePoints -= (*State)->Active.size();
+    addActivePoints(-static_cast<ptrdiff_t>((*State)->Active.size()));
     if (LastState == State->get())
       LastState = nullptr;
     Objects.erase(Obj);
   }
 
-  const std::vector<CommutativityRace> &races() const { return Races; }
-  std::vector<CommutativityRace> takeRaces() {
-    return std::exchange(Races, {});
+  /// Races reported and not yet drained, in report order. A caller that
+  /// never drains sees every race here.
+  const std::vector<RaceRecord> &races() const { return Races; }
+
+  /// Hands each pending race to \p Consume in report order, then forgets
+  /// them. Delivered races stop occupying memory; raceCount() keeps the
+  /// total.
+  template <typename ConsumeF> void drainRaces(ConsumeF &&Consume) {
+    if (Races.empty())
+      return;
+    noteHeld();
+    for (const RaceRecord &R : Races)
+      Consume(R);
+    Delivered += Races.size();
+    Races.clear();
   }
 
-  const std::unordered_set<ObjectId> &racyObjects() const {
-    return RacyObjects;
-  }
+  /// Every race reported so far, drained or not.
+  size_t raceCount() const { return Delivered + Races.size(); }
+
+  /// The most races ever pending at once: the race memory a draining
+  /// caller has to budget for.
+  size_t racesHeldMax() const { return std::max(HeldMax, Races.size()); }
+
   size_t distinctRacyObjects() const { return RacyObjects.size(); }
   size_t conflictChecks() const { return ConflictChecks; }
 
   /// Total number of currently active access points across live objects.
-  /// Maintained incrementally; O(1).
-  size_t activePointCount() const { return ActivePoints; }
+  /// Maintained incrementally; O(1). Safe to read from another thread
+  /// while the engine runs (a serve session's status snapshot of a shard),
+  /// which then sees a recent value.
+  size_t activePointCount() const {
+    return ActivePoints.load(std::memory_order_relaxed);
+  }
 
   //===--------------------------------------------------------------------===//
   // Chunk-memoization support (detect/ChunkMemo.h). A chunk summary is a
@@ -350,9 +392,9 @@ public:
 
   /// Replays one summarized race: pushes the (re-based) report and marks
   /// the object racy, exactly as phase 1 would have.
-  void replayRace(const CommutativityRace &Race) {
+  void replayRace(RaceRecord Race) {
     RacyObjects.insert(Race.Current.object());
-    Races.push_back(Race);
+    Races.push_back(std::move(Race));
   }
 
   /// Adds a replayed chunk's counter deltas (phase-1 probes and actions).
@@ -370,7 +412,7 @@ public:
     S.ObjectCacheHits = CacheHits.get();
     S.ObjectCacheMisses = CacheMisses.get();
     S.Activations = Activations.get();
-    S.ActivePoints = ActivePoints;
+    S.ActivePoints = activePointCount();
     S.KernelEvents = KernelEventsCtr.get();
     S.PrefetchesIssued = Prefetches.get();
     S.LookaheadOccupancy = LookaheadOcc.counts();
@@ -411,6 +453,13 @@ private:
     return **Slot;
   }
 
+  void noteHeld() { HeldMax = std::max(HeldMax, Races.size()); }
+
+  void addActivePoints(ptrdiff_t Delta) {
+    ActivePoints.store(ActivePoints.load(std::memory_order_relaxed) + Delta,
+                       std::memory_order_relaxed);
+  }
+
   void refreshProviders() {
     for (auto &[Obj, State] : Objects) {
       const AccessPointProvider *const *Bound = Bindings.find(Obj);
@@ -424,11 +473,15 @@ private:
   /// One-entry cache for the common run of actions on the same object.
   ObjectState *LastState = nullptr;
   ObjectId LastObj;
-  std::vector<CommutativityRace> Races;
+  std::vector<RaceRecord> Races; ///< Reported, not yet drained.
+  size_t Delivered = 0;                 ///< Races drained so far.
+  size_t HeldMax = 0;                   ///< See racesHeldMax().
   std::unordered_set<ObjectId> RacyObjects;
   std::vector<AccessPoint> Scratch;
   size_t ConflictChecks = 0;
-  size_t ActivePoints = 0;
+  /// Single writer (the thread driving the engine); atomic only so that
+  /// activePointCount() may be read from another thread.
+  std::atomic<size_t> ActivePoints{0};
   uint64_t MutStamp = 0;   ///< See mutationStamp().
   uint64_t ConfigStamp = 0;///< See configStamp().
   /// Observability counters (single writer — the thread driving the

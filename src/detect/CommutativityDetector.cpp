@@ -151,7 +151,7 @@ bool CommutativityRaceDetector::tryReplayChunk(const ChunkSummary &S) {
   for (const auto &[Rel, Race] : S.Races) {
     CommutativityRace Rebased = Race;
     Rebased.EventIndex = EventIndex + Rel;
-    Engine.replayRace(Rebased);
+    Engine.replayRace(std::move(Rebased));
   }
   Engine.addReplayStats(S.ConflictChecks, S.Invokes);
   EventIndex += S.Events;

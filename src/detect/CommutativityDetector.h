@@ -71,9 +71,25 @@ public:
   /// clocks are dropped; no further races can be reported on it.
   void objectDied(ObjectId Obj) { Engine.objectDied(Obj); }
 
+  /// Races reported and not yet drained, in event order. A caller that
+  /// never drains sees every race here; a streaming caller drains after
+  /// each batch so delivered races stop occupying memory.
   const std::vector<CommutativityRace> &races() const {
     return Engine.races();
   }
+
+  /// Hands each pending race to \p Consume in event order, then forgets
+  /// them. Memo recording (finishMemoRecord) must read a chunk's races
+  /// before they are drained.
+  template <typename ConsumeF> void drainRaces(ConsumeF &&Consume) {
+    Engine.drainRaces(std::forward<ConsumeF>(Consume));
+  }
+
+  /// Every race reported so far, drained or not.
+  size_t raceCount() const { return Engine.raceCount(); }
+
+  /// The most races ever pending at once (`races_held_max`).
+  size_t racesHeldMax() const { return Engine.racesHeldMax(); }
 
   /// Number of distinct objects participating in at least one reported race
   /// (the "(distinct)" column of Table 2).
@@ -100,8 +116,9 @@ public:
   // into a ChunkSummary), tryReplayChunk() on later occurrences.
   //===--------------------------------------------------------------------===//
 
-  /// Snapshot of the stream position, race count, counter baselines and
-  /// mutation stamps taken before interpreting a candidate chunk.
+  /// Snapshot of the stream position, pending race count, counter
+  /// baselines and mutation stamps taken before interpreting a candidate
+  /// chunk.
   struct MemoRecordToken {
     size_t BaseEventIndex = 0;
     size_t BaseRaces = 0;

@@ -59,7 +59,8 @@ const VectorClock *resolveClock(const std::vector<const VectorClock *> &Map,
 /// same RunBatch pointer is pushed to EVERY shard's ring; each worker
 /// walks the runs, claims the actions it owns (shardIndex), and stamps
 /// them with the run's shared clock map. Pending counts shards still
-/// reading; the producer reclaims the batch once it drops to zero.
+/// reading; once it drops to zero the producer merges the races the shards
+/// handed back in Out and reclaims the batch.
 ///
 /// Event storage is either Owned (streaming feeds — payloads pinned in the
 /// batch's own arena) or external (whole-trace feeds — Evs points into the
@@ -91,6 +92,16 @@ struct ParallelDetector::RunBatch {
   size_t ClocksUsed = 0;
   std::deque<ClockMap> Maps;
   size_t MapsUsed = 0;
+  /// What each shard found in this batch, indexed by shard and written
+  /// only by that shard's worker before it releases Pending: its races in
+  /// event order (compact ShardRace records the merge completes from this
+  /// batch's events and clock maps), and its distinct racy objects so
+  /// far. The merge frees the lists.
+  struct ShardOutput {
+    std::vector<ShardRace> Races;
+    size_t RacyObjects = 0;
+  };
+  std::vector<ShardOutput> Out;
   uint64_t Seq = 0;       ///< Global dispatch sequence (observability).
   uint64_t EnqueueNs = 0; ///< Producer's broadcast timestamp.
   std::atomic<uint32_t> Pending{0}; ///< Shards still executing this batch.
@@ -126,7 +137,7 @@ struct ParallelDetector::Shard {
   SpscRing<RunBatch *> Ring;
   std::atomic<uint64_t> Completed{0};
   uint64_t Enqueued = 0; ///< Producer-side only.
-  Algorithm1Engine Engine;
+  BasicAlgorithm1Engine<EpochClock, ShardRace> Engine;
   /// Synthesized inc_τ(⊥) clocks for threads absent from a run's clock
   /// map; written only by this shard's worker.
   std::vector<VectorClock> Synth;
@@ -134,10 +145,14 @@ struct ParallelDetector::Shard {
   /// after quiescence (shardLoads/metricsSnapshot) — live in every build,
   /// like the engine's own counters.
   size_t RoutedEvents = 0;
-  /// Races this shard contributed at the last merge. Structural like
-  /// RoutedEvents (one add per flush, not per event), so it stays live —
-  /// and the accounting invariant checkable — with CRD_METRICS=0.
+  /// Races this shard contributed to merges so far. Producer-written and
+  /// structural like RoutedEvents (one add per merged batch, not per
+  /// event), so it stays live — and the accounting invariant checkable —
+  /// with CRD_METRICS=0.
   uint64_t MergedRaces = 0;
+  /// Largest per-batch race list this shard handed back: the most races
+  /// it held undelivered at once. Producer-written like MergedRaces.
+  uint64_t RacesHeldMax = 0;
 
   /// Producer-written observability (the feeding thread; merge too — same
   /// thread). Inert when CRD_METRICS=0.
@@ -160,6 +175,7 @@ ParallelDetector::ParallelDetector(unsigned NumShards, size_t BatchSize,
     : BatchSizeVal(std::max<size_t>(1, BatchSize)),
       TraceBatches(metrics::Enabled && TraceBatches) {
   assert(NumShards >= 2 && "one shard is the sequential detector");
+  ShardRacyObjects.assign(NumShards, 0);
   ShardList.reserve(NumShards);
   for (unsigned I = 0; I != NumShards; ++I)
     ShardList.push_back(std::make_unique<Shard>());
@@ -206,6 +222,15 @@ ParallelDetector::ParallelDetector(unsigned NumShards, size_t BatchSize,
         S.WorkerNs.add(End - Begin);
         S.Batches.inc();
         S.RoutedEvents += Mine;
+        // Hand the batch's races back with it, in a list of exactly their
+        // size: the producer merges and frees it once every shard is done
+        // with the batch, so race memory in flight is what the unmerged
+        // batches found, not the largest list each pooled batch ever held.
+        RunBatch::ShardOutput &Found = RB->Out[ShardIdx];
+        Found.Races.reserve(S.Engine.races().size());
+        S.Engine.drainRaces(
+            [&Found](const ShardRace &R) { Found.Races.push_back(R); });
+        Found.RacyObjects = S.Engine.distinctRacyObjects();
         // Span recorded before the Completed signal so a quiesced
         // pipeline always observes every span.
         if (Tracing)
@@ -247,6 +272,13 @@ size_t ParallelDetector::activePointCount() const {
   return Sum;
 }
 
+size_t ParallelDetector::distinctRacyObjects() const {
+  size_t Sum = 0;
+  for (size_t N : ShardRacyObjects)
+    Sum += N;
+  return Sum;
+}
+
 std::vector<size_t> ParallelDetector::shardLoads() const {
   std::vector<size_t> Loads;
   Loads.reserve(ShardList.size());
@@ -283,6 +315,7 @@ ParallelDetector::RunBatch *ParallelDetector::acquireBatch() {
     // Steady state never reaches this: the ring depth bounds in-flight
     // batches, so after warmup the pool cycles.
     BatchStore.emplace_back();
+    BatchStore.back().Out.resize(ShardList.size());
     FreeBatches.push_back(&BatchStore.back());
   }
   RunBatch *RB = FreeBatches.back();
@@ -293,11 +326,13 @@ ParallelDetector::RunBatch *ParallelDetector::acquireBatch() {
 void ParallelDetector::reclaimCompleted() {
   // Batches complete in FIFO order per shard, and every shard consumes the
   // same sequence, so scanning the in-flight queue from the front finds
-  // every reclaimable batch.
+  // every reclaimable batch — and merging them in that order keeps the
+  // race list in event order.
   while (!InFlight.empty() &&
          InFlight.front()->Pending.load(std::memory_order_acquire) == 0) {
     RunBatch *RB = InFlight.front();
     InFlight.pop_front();
+    mergeBatch(*RB);
     RB->recycle(); // Keeps buffers + arena chunks warm for reuse.
     FreeBatches.push_back(RB);
   }
@@ -496,26 +531,74 @@ void ParallelDetector::syncShard(Shard &S) {
   }
 }
 
-void ParallelDetector::mergeResults() {
-  // Deterministic merge: drain per-shard races and order by event index.
-  // Races sharing an event index come from a single shard (an event
-  // touches one object) and keep their emission order.
-  size_t FirstNew = Races.size();
-  for (std::unique_ptr<Shard> &S : ShardList) {
-    std::vector<CommutativityRace> ShardRaces = S->Engine.takeRaces();
-    S->MergedRaces += ShardRaces.size();
-    if (Races.empty())
-      Races = std::move(ShardRaces); // First contributor: steal the vector.
-    else
-      Races.insert(Races.end(), std::make_move_iterator(ShardRaces.begin()),
-                   std::make_move_iterator(ShardRaces.end()));
-    RacyObjects.insert(S->Engine.racyObjects().begin(),
-                       S->Engine.racyObjects().end());
+void ParallelDetector::mergeBatch(RunBatch &RB) {
+  uint64_t Begin = metrics::nowNs();
+  // Each shard's list is in event order, and races sharing an event index
+  // come from one shard (an event touches one object), so a k-way merge by
+  // event index reproduces the sequential detector's order exactly.
+  MergeHeap.clear();
+  for (size_t I = 0; I != RB.Out.size(); ++I) {
+    RunBatch::ShardOutput &Found = RB.Out[I];
+    ShardRacyObjects[I] = Found.RacyObjects;
+    if (Found.Races.empty())
+      continue;
+    ShardList[I]->MergedRaces += Found.Races.size();
+    ShardList[I]->RacesHeldMax = std::max<uint64_t>(
+        ShardList[I]->RacesHeldMax, Found.Races.size());
+    MergeHeap.push_back(
+        {Found.Races.data(), Found.Races.data() + Found.Races.size()});
   }
-  std::stable_sort(Races.begin() + FirstNew, Races.end(),
-                   [](const CommutativityRace &A, const CommutativityRace &B) {
-                     return A.EventIndex < B.EventIndex;
-                   });
+  // Rebuild each record from the batch, which is still intact: the
+  // event gives the thread and action, the run's clock map the current
+  // clock (resolved as the worker resolved it).
+  auto Emit = [this, &RB](ShardRace &S) {
+    if (!Collect && !Consumer) {
+      ++Delivered; // Counted, never built.
+      return;
+    }
+    uint32_t Pos = static_cast<uint32_t>(S.EventIndex - RB.BaseIndex);
+    const Event &E = RB.Evs[Pos];
+    auto Run = std::upper_bound(
+        RB.Runs.begin(), RB.Runs.end(), Pos,
+        [](uint32_t P, const RunBatch::Run &R) { return P < R.Begin; });
+    assert(Run != RB.Runs.begin() && "race outside every run");
+    CommutativityRace &R = MergeScratch;
+    R.EventIndex = S.EventIndex;
+    R.Thread = E.thread();
+    R.Current = E.action();
+    R.PointName.assign(S.Provider->className(S.Partner));
+    R.PriorClock = std::move(S.PriorClock);
+    R.CurrentClock = *resolveClock(*std::prev(Run)->Map, R.Thread, MergeSynth);
+    if (Consumer) {
+      Consumer(R);
+      ++Delivered;
+    } else {
+      Races.push_back(R);
+    }
+  };
+  // Min-heap on the next event index (std heaps are max-heaps).
+  auto Later = [](const MergeCursor &A, const MergeCursor &B) {
+    return A.Next->EventIndex > B.Next->EventIndex;
+  };
+  std::make_heap(MergeHeap.begin(), MergeHeap.end(), Later);
+  while (!MergeHeap.empty()) {
+    std::pop_heap(MergeHeap.begin(), MergeHeap.end(), Later);
+    MergeCursor &C = MergeHeap.back();
+    if (MergeHeap.size() == 1) {
+      // The last list with races left: no more comparisons needed.
+      for (; C.Next != C.End; ++C.Next)
+        Emit(*C.Next);
+      break;
+    }
+    Emit(*C.Next);
+    if (++C.Next == C.End)
+      MergeHeap.pop_back();
+    else
+      std::push_heap(MergeHeap.begin(), MergeHeap.end(), Later);
+  }
+  for (RunBatch::ShardOutput &Found : RB.Out)
+    Found.Races = {};
+  MergeNsCtr.add(metrics::nowNs() - Begin);
 }
 
 void ParallelDetector::flush() {
@@ -527,11 +610,8 @@ void ParallelDetector::flush() {
   uint64_t SyncStart = metrics::nowNs();
   for (std::unique_ptr<Shard> &S : ShardList)
     syncShard(*S);
-  uint64_t MergeStart = metrics::nowNs();
-  FlushWaitNsCtr.add(MergeStart - SyncStart);
-  reclaimCompleted(); // Quiesced: every in-flight batch recycles.
-  mergeResults();
-  MergeNsCtr.add(metrics::nowNs() - MergeStart);
+  FlushWaitNsCtr.add(metrics::nowNs() - SyncStart);
+  reclaimCompleted(); // Quiesced: every in-flight batch merges and recycles.
 }
 
 ParallelMetrics ParallelDetector::metricsSnapshot() const {
@@ -553,6 +633,7 @@ ParallelMetrics ParallelDetector::metricsSnapshot() const {
     SM.RoutedEvents = S->RoutedEvents;
     SM.Batches = S->Batches.get();
     SM.MergedRaces = S->MergedRaces;
+    SM.RacesHeldMax = S->RacesHeldMax;
     SM.RingFullStalls = S->RingFullStalls.get();
     SM.StallNs = S->StallNs.get();
     SM.WorkerNs = S->WorkerNs.get();

@@ -27,9 +27,15 @@
 ///      routing locally (the same fastrange hash on every shard) and
 ///      execute exactly the actions they own, so the caller thread never
 ///      touches non-sync events at all.
-///   3. Merge (sequential, deterministic): flush() waits for shard
-///      quiescence, then orders the drained per-shard race vectors by event
-///      index — bit-identical to the sequential CommutativityRaceDetector.
+///   3. Merge (sequential, deterministic, streaming): each worker hands
+///      its batch's races — already in event order — back inside the
+///      batch. Once every shard has finished a batch, the producer k-way
+///      merges the per-shard lists by event index, bit-identical to the
+///      sequential CommutativityRaceDetector, and hands them to the race
+///      consumer (or, without one, appends them to races()). Batches
+///      finish in order on every shard, so the merge never waits for a
+///      later window, and a streaming caller holds only the races of the
+///      batches still in flight.
 ///
 /// Both whole-trace (processTrace), batch (processBatch) and event-at-a-
 /// time (processEvent + flush) feeding are supported; the streaming paths
@@ -49,6 +55,7 @@
 
 #include <array>
 #include <deque>
+#include <functional>
 #include <iosfwd>
 #include <memory>
 #include <vector>
@@ -77,6 +84,9 @@ struct ParallelShardMetrics {
   uint64_t RoutedEvents = 0;   ///< Actions this shard claimed and executed.
   uint64_t Batches = 0;        ///< Run batches the shard executed.
   uint64_t MergedRaces = 0;    ///< Races this shard contributed at merges.
+  /// The most races this shard held undelivered at once: its largest
+  /// per-batch race list.
+  uint64_t RacesHeldMax = 0;
   uint64_t RingFullStalls = 0; ///< Dispatches that found the ring full.
   uint64_t StallNs = 0;        ///< Producer time blocked on a full ring.
   uint64_t WorkerNs = 0;       ///< Worker time executing batches.
@@ -111,7 +121,9 @@ struct ParallelMetrics {
   uint64_t RunLengthMax = 0;
   uint64_t PrePassNs = 0;      ///< Feed time: first feed to flush.
   uint64_t FlushWaitNs = 0;    ///< flush() time waiting for shard quiescence.
-  uint64_t MergeNs = 0;        ///< flush() time merging race vectors.
+  /// Producer time k-way merging finished batches' per-shard races,
+  /// summed over every merge (not just flush()).
+  uint64_t MergeNs = 0;
   std::vector<ParallelShardMetrics> Shards;
   std::vector<BatchSpan> Spans; ///< Empty unless TraceBatches was set.
   /// Producer-side pre-pass span per dispatched batch (TraceBatches only):
@@ -181,12 +193,29 @@ public:
   /// merges results deterministically. Idempotent; cheap when idle.
   void flush();
 
-  /// Races merged deterministically by event index (complete after
-  /// processTrace; for streaming feeds, after flush()).
+  /// Where merged races go. By default they collect in races(). Once a
+  /// consumer is set, each batch's races are handed to \p Consume in
+  /// event order as the batch is merged — during a later feed call, at the
+  /// latest in flush() — and never stored; an empty \p Consume only
+  /// counts them, without building the records. Set before feeding.
+  void setRaceConsumer(
+      std::function<void(const CommutativityRace &)> Consume) {
+    Collect = false;
+    Consumer = std::move(Consume);
+  }
+
+  /// Merged races in event order, when no race consumer is set. Every
+  /// batch all shards have finished is merged; processTrace() and flush()
+  /// finish them all, so every race is here after either.
   const std::vector<CommutativityRace> &races() const { return Races; }
 
-  /// Number of distinct objects participating in at least one race.
-  size_t distinctRacyObjects() const { return RacyObjects.size(); }
+  /// Every race merged so far, handed on or not.
+  size_t raceCount() const { return Delivered + Races.size(); }
+
+  /// Number of distinct objects participating in at least one merged
+  /// race. Objects never change shard, so this is the sum of the shards'
+  /// own counts, as each shard reported it with its last merged batch.
+  size_t distinctRacyObjects() const;
 
   /// Phase-1 conflict probes summed over all shards. Requires a quiesced
   /// pipeline (after processTrace or flush).
@@ -195,8 +224,8 @@ public:
   /// Number of events processed (all kinds, as for the sequential API).
   size_t eventsProcessed() const { return EventsProcessed; }
 
-  /// Active access points summed over all shards; O(#shards). Requires a
-  /// quiesced pipeline.
+  /// Active access points summed over all shards; O(#shards). Exact on a
+  /// quiesced pipeline; while shards run, a recent value.
   size_t activePointCount() const;
 
   /// Reclaims a dead object's state in whichever shard owns it (after
@@ -239,7 +268,10 @@ private:
                           const uint8_t *Kinds);
   void reclaimCompleted();
   void syncShard(Shard &S);
-  void mergeResults();
+  /// K-way merges \p RB's per-shard race lists into the consumer (or
+  /// Races). Called once every shard has finished \p RB, in dispatch
+  /// order.
+  void mergeBatch(RunBatch &RB);
 
   /// Table 1 clock machine; persists across processTrace calls so split
   /// traces see the same happens-before as one concatenated trace.
@@ -274,8 +306,22 @@ private:
   std::vector<uint32_t> SyncScratch;
   /// Pre-pass scratch for the combined sync+invoke kind scan.
   std::vector<uint32_t> CombinedScratch;
-  std::vector<CommutativityRace> Races;
-  std::unordered_set<ObjectId> RacyObjects;
+  bool Collect = true; ///< No consumer set: merged races go to Races.
+  std::function<void(const CommutativityRace &)> Consumer;
+  std::vector<CommutativityRace> Races; ///< Merged, without a consumer.
+  /// mergeBatch() scratch: the record being rebuilt (its buffers are
+  /// reused), and inc_τ(⊥) clocks for threads absent from a clock map.
+  CommutativityRace MergeScratch;
+  std::vector<VectorClock> MergeSynth;
+  size_t Delivered = 0;                 ///< Races the consumer took.
+  /// Per shard: distinct racy objects as of its last merged batch.
+  std::vector<size_t> ShardRacyObjects;
+  /// mergeBatch() scratch: one cursor per shard with races to merge.
+  struct MergeCursor {
+    ShardRace *Next;
+    ShardRace *End;
+  };
+  std::vector<MergeCursor> MergeHeap;
   size_t EventsProcessed = 0;
   /// Observability state (single writer: the feeding thread; all of it is
   /// inert when CRD_METRICS=0).

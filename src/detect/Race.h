@@ -30,9 +30,13 @@
 namespace crd {
 
 /// A commutativity race (paper Def 4.3) found by Algorithm 1 or by the
-/// direct baseline detector. The record is self-contained: it owns a deep
-/// copy of the current action and both clocks, so it outlives the decode
-/// arena and the provider that produced it.
+/// direct baseline detector. The record owns a deep copy of the current
+/// action, the class name and both clocks, so it does not depend on the
+/// decode arena or the provider. It lives until it is drained: a
+/// detector's race vector holds only races not yet handed on, and the
+/// streaming pipeline drops each one after its callback (see
+/// drainRaces() in detect/CommutativityDetector.h). A consumer that
+/// needs a race later copies it.
 struct CommutativityRace {
   size_t EventIndex = 0;   ///< Position of the current (second) event.
   ThreadId Thread;         ///< Thread of the current event.

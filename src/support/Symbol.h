@@ -58,7 +58,9 @@ private:
 ///
 /// The process-wide instance (SymbolTable::global()) backs the Symbol::str()
 /// convenience accessor. Separate instances can be created for isolation in
-/// tests.
+/// tests. Thread-safe: intern() takes a mutex, while str() and size() read
+/// append-only storage without a lock, so printing races on one thread
+/// never waits for a decoder interning on another.
 class SymbolTable {
 public:
   SymbolTable();

@@ -55,6 +55,9 @@ StreamPipeline::StreamPipeline(PipelineOptions Opts) : Opts(Opts) {
   case Backend::Parallel:
     Par = std::make_unique<ParallelDetector>(
         this->Opts.Shards, this->Opts.BatchSize, Opts.TraceBatches);
+    // Merged races are only counted until setRaceCallback() asks for
+    // them; either way none is stored.
+    Par->setRaceConsumer({});
     break;
   case Backend::FastTrack:
     FT = std::make_unique<FastTrackDetector>();
@@ -83,11 +86,21 @@ void StreamPipeline::bind(ObjectId Obj, const AccessPointProvider *Provider) {
     Atom->bind(Obj, Provider);
 }
 
+void StreamPipeline::setRaceCallback(
+    std::function<void(const CommutativityRace &)> Cb) {
+  RaceCallback = std::move(Cb);
+  // The parallel merge hands races straight to the callback, batch by
+  // batch, so not even a flush's worth of them is ever stored.
+  if (Par)
+    Par->setRaceConsumer(RaceCallback);
+}
+
 void StreamPipeline::drainNewRaces() {
-  if (RaceCallback) {
-    const std::vector<CommutativityRace> &All = races();
-    for (; RacesSeen < All.size(); ++RacesSeen)
-      RaceCallback(All[RacesSeen]);
+  if (Seq) {
+    if (RaceCallback)
+      Seq->drainRaces(RaceCallback);
+    else
+      Seq->drainRaces([](const CommutativityRace &) {});
   }
   if (MemoryRaceCallback) {
     const std::vector<MemoryRace> &All = memoryRaces();
@@ -125,7 +138,8 @@ void StreamPipeline::onEvent(const Event &E) {
   if (Par) {
     // Streamed straight into the pipeline — the detector batches
     // internally and copies the action payload, so no Trace is ever
-    // materialized here. Results surface at finish().
+    // materialized here. Races reach the consumer as the batches they
+    // belong to finish on every shard.
     Par->processEvent(E);
     return;
   }
@@ -309,15 +323,6 @@ StreamSummary StreamPipeline::run(EventSource &Source) {
   return summary();
 }
 
-const std::vector<CommutativityRace> &StreamPipeline::races() const {
-  static const std::vector<CommutativityRace> Empty;
-  if (Seq)
-    return Seq->races();
-  if (Par)
-    return Par->races();
-  return Empty;
-}
-
 const std::vector<MemoryRace> &StreamPipeline::memoryRaces() const {
   static const std::vector<MemoryRace> Empty;
   return FT ? FT->races() : Empty;
@@ -331,11 +336,14 @@ const std::vector<AtomicityViolation> &StreamPipeline::violations() const {
 StreamSummary StreamPipeline::summary() const {
   StreamSummary S;
   S.Events = Events;
-  S.Races = races().size();
-  if (Seq)
+  if (Seq) {
+    S.Races = Seq->raceCount();
     S.DistinctRacyObjects = Seq->distinctRacyObjects();
-  if (Par)
+  }
+  if (Par) {
+    S.Races = Par->raceCount();
     S.DistinctRacyObjects = Par->distinctRacyObjects();
+  }
   S.MemoryRaces = memoryRaces().size();
   if (FT)
     S.DistinctRacyVars = FT->distinctRacyVars();
@@ -406,6 +414,7 @@ void StreamPipeline::writeMetricsJson(std::ostream &OS,
   if (Seq) {
     writeEngineStats(W, Seq->engineStats());
     W.field("kernel_ns", Seq->kernelNs());
+    W.field("races_held_max", static_cast<uint64_t>(Seq->racesHeldMax()));
   }
   if (Par) {
     ParallelMetrics M = Par->metricsSnapshot();
@@ -440,6 +449,7 @@ void StreamPipeline::writeMetricsJson(std::ostream &OS,
       W.field("routed_events", SM.RoutedEvents);
       W.field("batches", SM.Batches);
       W.field("merged_races", SM.MergedRaces);
+      W.field("races_held_max", SM.RacesHeldMax);
       W.field("ring_full_stalls", SM.RingFullStalls);
       W.field("stall_ns", SM.StallNs);
       W.field("worker_ns", SM.WorkerNs);

@@ -12,8 +12,9 @@
 /// ParallelDetector (events stream straight into its shard pipeline —
 /// the detector batches internally, and reports stay bit-identical to
 /// the sequential detector), the FastTrack baseline, or the online
-/// atomicity checker. Races are surfaced through an optional callback
-/// the moment the backend reports them, plus an end-of-stream summary.
+/// atomicity checker. Commutativity races are a bounded stream: each is
+/// handed to an optional callback as soon as the backend reports it and
+/// then dropped, so the pipeline keeps only the end-of-stream counts.
 /// No Trace is ever materialized.
 ///
 //===----------------------------------------------------------------------===//
@@ -107,14 +108,15 @@ public:
   void setDefaultProvider(const AccessPointProvider *Provider);
   void bind(ObjectId Obj, const AccessPointProvider *Provider);
 
-  /// Invoked for every commutativity race as soon as the backend reports
-  /// it (after the offending event for Sequential's per-event feed, after
-  /// the containing batch for its batched feed; at finish() for a parallel
-  /// run of two or more shards, whose races surface when the pipeline
-  /// flushes).
-  void setRaceCallback(std::function<void(const CommutativityRace &)> Cb) {
-    RaceCallback = std::move(Cb);
-  }
+  /// Invoked for every commutativity race, in event order, as soon as the
+  /// backend reports it: after the offending event for Sequential's
+  /// per-event feed, after the containing batch or memo chunk for its
+  /// batched feeds. A parallel run of two or more shards delivers a
+  /// batch's races once every shard has finished it — during a later feed
+  /// call, at the latest at finish(). The pipeline keeps no race after the
+  /// callback returns (summary() counts them); without a callback races
+  /// are only counted.
+  void setRaceCallback(std::function<void(const CommutativityRace &)> Cb);
   /// FastTrack counterpart of setRaceCallback.
   void setMemoryRaceCallback(std::function<void(const MemoryRace &)> Cb) {
     MemoryRaceCallback = std::move(Cb);
@@ -152,7 +154,7 @@ public:
   /// per-object state (sequential and parallel; FastTrack and atomicity
   /// key state by variable/transaction and ignore it). Serving sessions
   /// call this for client die notices so long-lived streams keep the
-  /// detector footprint bounded. Races already found are retained.
+  /// detector footprint bounded. Races already found stay counted.
   void objectDied(ObjectId Obj);
 
   /// Memoization counters (zero unless run() drove the Full memo loop).
@@ -171,8 +173,8 @@ public:
   StreamSummary summary() const;
 
   /// Results of the selected backend (empty vectors otherwise). finish()
-  /// first when pushing events directly.
-  const std::vector<CommutativityRace> &races() const;
+  /// first when pushing events directly. Commutativity races have no
+  /// accessor: they reach the caller only through setRaceCallback().
   const std::vector<MemoryRace> &memoryRaces() const;
   const std::vector<AtomicityViolation> &violations() const;
 
@@ -199,6 +201,8 @@ public:
                         const EventSource *Source = nullptr) const;
 
 private:
+  /// Hands every race the backend has reported since the last call to
+  /// the callbacks; commutativity races are dropped after delivery.
   void drainNewRaces();
   void tallyBatchKinds(const EventBatch &B);
   /// One step of the Full-memo chunk loop: replay a verified-repeat chunk
@@ -216,8 +220,7 @@ private:
   std::function<void(const CommutativityRace &)> RaceCallback;
   std::function<void(const MemoryRace &)> MemoryRaceCallback;
   size_t Events = 0;
-  size_t RacesSeen = 0; ///< Races already handed to the callback.
-  size_t MemoryRacesSeen = 0;
+  size_t MemoryRacesSeen = 0; ///< Memory races already handed over.
   /// Recycled pull batch shared by pump()'s loops, kept as a member so a
   /// resumable stream's many short pump rounds stay allocation-free.
   EventBatch PumpBatch;

@@ -21,6 +21,7 @@
 #include "trace/Event.h"
 #include "wire/StreamPipeline.h"
 #include "wire/WireWriter.h"
+#include "RaceSink.h"
 #include "TraceGen.h"
 
 #include <gtest/gtest.h>
@@ -147,9 +148,11 @@ std::vector<CommutativityRace> racesViaPipeline(const Trace &T,
   Opts.BatchSize = 37; // Odd size so shard batches straddle wire chunks.
   StreamPipeline Pipeline(Opts);
   Pipeline.setDefaultProvider(&dictRep());
+  std::vector<CommutativityRace> Races;
+  testgen::collectRaces(Pipeline, Races);
   Pipeline.run(Source);
   EXPECT_FALSE(Source.failed()) << Diags.toString();
-  return Pipeline.races();
+  return Races;
 }
 
 TEST(ArenaTest, StreamPipelineSurvivesChunkResets) {

@@ -29,6 +29,7 @@
 #include "wire/EventSource.h"
 #include "wire/StreamPipeline.h"
 #include "wire/WireWriter.h"
+#include "RaceSink.h"
 #include "TraceGen.h"
 
 #include <gtest/gtest.h>
@@ -224,6 +225,8 @@ TEST(IngestTest, DeterminismLiveVsReplayMatrix) {
         wire::PipelineOptions POpts;
         wire::StreamPipeline Live(POpts);
         Live.setDefaultProvider(&dictRep());
+        std::vector<CommutativityRace> LiveRaces;
+        testgen::collectRaces(Live, LiveRaces);
         std::ostringstream WireBuf;
         wire::WireWriter Writer(WireBuf);
         S.setPipeline(&Live);
@@ -247,6 +250,8 @@ TEST(IngestTest, DeterminismLiveVsReplayMatrix) {
         wire::BinaryStreamSource Src(In, Diags);
         wire::StreamPipeline Replayed(POpts);
         Replayed.setDefaultProvider(&dictRep());
+        std::vector<CommutativityRace> ReplayedRaces;
+        testgen::collectRaces(Replayed, ReplayedRaces);
         wire::StreamSummary Sum = Replayed.run(Src);
         ASSERT_FALSE(Src.failed()) << Diags.toString();
 
@@ -256,7 +261,7 @@ TEST(IngestTest, DeterminismLiveVsReplayMatrix) {
                      << (Policy == BackpressurePolicy::Block ? "block"
                                                              : "drop"));
         EXPECT_EQ(Sum.Events, S.eventsCollected());
-        EXPECT_EQ(Replayed.races(), Live.races());
+        EXPECT_EQ(ReplayedRaces, LiveRaces);
         // Every script op emits exactly one event, so Block is lossless
         // at exactly Producers × Ops.
         if (Policy == BackpressurePolicy::Block) {
@@ -488,6 +493,7 @@ TEST(IngestTest, ProcessBatchMatchesRunSequential) {
   wire::PipelineOptions POpts;
 
   std::unique_ptr<wire::StreamPipeline> Pulled;
+  std::vector<CommutativityRace> PulledRaces;
   {
     std::ostringstream OS;
     wire::WireWriter W(OS);
@@ -498,11 +504,14 @@ TEST(IngestTest, ProcessBatchMatchesRunSequential) {
     wire::BinaryStreamSource Src(In, Diags);
     Pulled = std::make_unique<wire::StreamPipeline>(POpts);
     Pulled->setDefaultProvider(&dictRep());
+    testgen::collectRaces(*Pulled, PulledRaces);
     Pulled->run(Src);
   }
 
   wire::StreamPipeline Pushed(POpts);
   Pushed.setDefaultProvider(&dictRep());
+  std::vector<CommutativityRace> PushedRaces;
+  testgen::collectRaces(Pushed, PushedRaces);
   EventBatch B;
   for (size_t I = 0; I != T.size(); ++I) {
     B.append(T[I]);
@@ -512,7 +521,7 @@ TEST(IngestTest, ProcessBatchMatchesRunSequential) {
     }
   }
   Pushed.finish();
-  EXPECT_EQ(Pushed.races(), Pulled->races());
+  EXPECT_EQ(PushedRaces, PulledRaces);
   EXPECT_EQ(Pushed.eventsProcessed(), T.size());
 }
 
@@ -520,6 +529,7 @@ TEST(IngestTest, ProcessBatchMatchesRunParallel) {
   Trace T = testgen::randomTrace(99, 4, 150, 5);
   wire::PipelineOptions Seq;
   std::unique_ptr<wire::StreamPipeline> Reference;
+  std::vector<CommutativityRace> ReferenceRaces;
   {
     std::ostringstream OS;
     wire::WireWriter W(OS);
@@ -530,6 +540,7 @@ TEST(IngestTest, ProcessBatchMatchesRunParallel) {
     wire::BinaryStreamSource Src(In, Diags);
     Reference = std::make_unique<wire::StreamPipeline>(Seq);
     Reference->setDefaultProvider(&dictRep());
+    testgen::collectRaces(*Reference, ReferenceRaces);
     Reference->run(Src);
   }
 
@@ -539,6 +550,8 @@ TEST(IngestTest, ProcessBatchMatchesRunParallel) {
   Par.BatchSize = 16;
   wire::StreamPipeline Pushed(Par);
   Pushed.setDefaultProvider(&dictRep());
+  std::vector<CommutativityRace> PushedRaces;
+  testgen::collectRaces(Pushed, PushedRaces);
   EventBatch B;
   for (size_t I = 0; I != T.size(); ++I) {
     B.append(T[I]);
@@ -548,7 +561,7 @@ TEST(IngestTest, ProcessBatchMatchesRunParallel) {
     }
   }
   Pushed.finish();
-  EXPECT_EQ(Pushed.races(), Reference->races());
+  EXPECT_EQ(PushedRaces, ReferenceRaces);
 }
 
 TEST(IngestTest, RecorderMoveAndAutoFinish) {

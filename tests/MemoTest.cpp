@@ -28,6 +28,7 @@
 #include "wire/Crc32.h"
 #include "wire/WireWriter.h"
 #include "workloads/RepetitiveTrace.h"
+#include "RaceSink.h"
 
 #include <gtest/gtest.h>
 
@@ -79,9 +80,9 @@ AnalyzeResult analyzeSource(EventSource &Source, const DiagnosticEngine &Diags,
   StreamPipeline P(Opts);
   P.setDefaultProvider(Rep.get());
   AnalyzeResult R;
+  testgen::collectRaces(P, R.Races);
   R.Summary = P.run(Source);
   EXPECT_FALSE(Source.failed()) << Diags.toString();
-  R.Races = P.races();
   R.Memo = P.memoStats();
   R.Reader = Source.wireReader()->stats();
   return R;

@@ -312,6 +312,59 @@ TEST(ParallelDetectorTest, MoreShardsThanObjectsIsFine) {
   expectEquivalent(T, dictRep(), 16);
 }
 
+TEST(ParallelDetectorTest, DrainingWhileStreamingMatchesSequential) {
+  // The sequential detector drained after every event, the parallel one
+  // handing merged races to a consumer: the concatenated deliveries equal
+  // the undrained sequential race list record for record, the detectors
+  // end up holding nothing, and the totals survive.
+  Trace T = randomTrace(/*Seed=*/5, /*Workers=*/4, /*OpsPerWorker=*/60,
+                        /*Keys=*/3, /*Maps=*/4);
+  CommutativityRaceDetector Reference;
+  Reference.setDefaultProvider(&dictRep());
+  Reference.processTrace(T);
+  ASSERT_FALSE(Reference.races().empty());
+
+  auto Collect = [](std::vector<CommutativityRace> &Into) {
+    return [&Into](const CommutativityRace &R) { Into.push_back(R); };
+  };
+  CommutativityRaceDetector Sequential;
+  Sequential.setDefaultProvider(&dictRep());
+  std::vector<CommutativityRace> SeqSeen;
+  for (const Event &E : T) {
+    Sequential.process(E);
+    Sequential.drainRaces(Collect(SeqSeen));
+  }
+  EXPECT_EQ(SeqSeen, Reference.races());
+  EXPECT_TRUE(Sequential.races().empty());
+  EXPECT_EQ(Sequential.raceCount(), Reference.races().size());
+  EXPECT_EQ(Sequential.distinctRacyObjects(),
+            Reference.distinctRacyObjects());
+  // Drained after every event: it held one event's races at most.
+  EXPECT_LT(Sequential.racesHeldMax(), Reference.races().size());
+
+  for (unsigned Shards : {2u, 4u})
+    for (size_t Batch : {size_t(1), size_t(7), size_t(64)}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "shards=" << Shards << " batch=" << Batch);
+      ParallelDetector Parallel(Shards, Batch);
+      Parallel.setDefaultProvider(&dictRep());
+      std::vector<CommutativityRace> ParSeen;
+      Parallel.setRaceConsumer(Collect(ParSeen));
+      for (const Event &E : T)
+        Parallel.processEvent(E);
+      Parallel.flush();
+      EXPECT_EQ(ParSeen, Reference.races());
+      EXPECT_TRUE(Parallel.races().empty());
+      EXPECT_EQ(Parallel.raceCount(), Reference.races().size());
+      EXPECT_EQ(Parallel.distinctRacyObjects(),
+                Reference.distinctRacyObjects());
+      uint64_t Merged = 0;
+      for (const ParallelShardMetrics &SM : Parallel.metricsSnapshot().Shards)
+        Merged += SM.MergedRaces;
+      EXPECT_EQ(Merged, Reference.races().size());
+    }
+}
+
 TEST(ParallelDetectorTest, EmptyAndActionFreeTraces) {
   ParallelDetector Parallel(4);
   Parallel.setDefaultProvider(&dictRep());

@@ -17,6 +17,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "Cli.h"
+#include "RaceSink.h"
 #include "TraceGen.h"
 #include "detect/Race.h"
 #include "spec/Builtins.h"
@@ -250,8 +251,8 @@ Reference reference(const std::string &Path) {
     return Ref;
   wire::StreamPipeline Pipeline{wire::PipelineOptions()};
   Pipeline.setDefaultProvider(Rep.get());
+  testgen::collectRaces(Pipeline, Ref.Races);
   Ref.Summary = Pipeline.run(*Source);
-  Ref.Races = Pipeline.races();
   Ref.Failed = Source->failed();
   return Ref;
 }

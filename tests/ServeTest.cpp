@@ -26,6 +26,7 @@
 #include "serve/Protocol.h"
 #include "serve/Server.h"
 #include "serve/Session.h"
+#include "trace/TraceBuilder.h"
 #include "wire/WireWriter.h"
 #include "Cli.h"
 #include "CliInternal.h"
@@ -33,6 +34,7 @@
 
 #include <gtest/gtest.h>
 
+#include <malloc.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -66,21 +68,40 @@ struct TestTrace {
   std::string Bytes;
   std::string Path;
 
-  explicit TestTrace(size_t EventsPerChunk = 64) {
-    Trace T = testgen::randomTrace(/*Seed=*/7, /*Workers=*/3,
-                                   /*OpsPerWorker=*/40, /*Keys=*/4);
+  explicit TestTrace(size_t EventsPerChunk = 64)
+      : TestTrace(testgen::randomTrace(/*Seed=*/7, /*Workers=*/3,
+                                       /*OpsPerWorker=*/40, /*Keys=*/4),
+                  EventsPerChunk) {}
+
+  TestTrace(const Trace &T, size_t EventsPerChunk) {
     std::ostringstream OS;
     wire::WireWriter Writer(OS, EventsPerChunk);
     Writer.writeTrace(T);
     Writer.finish();
     Bytes = OS.str();
+    static std::atomic<int> Counter{0};
     Path = std::string(::testing::TempDir()) + "crd_serve_test_" +
-           std::to_string(::getpid()) + ".crdb";
+           std::to_string(::getpid()) + "_" +
+           std::to_string(Counter.fetch_add(1)) + ".crdb";
     std::ofstream File(Path, std::ios::binary);
     File << Bytes;
   }
   ~TestTrace() { ::unlink(Path.c_str()); }
 };
+
+/// \p Puts unsynchronized puts of fresh values on one key by \p Writers
+/// forked threads in turn: with two writers nearly every put races with
+/// the one before it, with one there is no race at all.
+Trace putTrace(unsigned Puts, unsigned Writers) {
+  TraceBuilder TB;
+  TB.fork(0, 1).fork(0, 2);
+  for (unsigned I = 0; I != Puts; ++I)
+    TB.invoke(1 + I % Writers, 7, "put",
+              {Value::string("k"), Value::integer(static_cast<int64_t>(I))},
+              Value::nil());
+  TB.join(0, 1).join(0, 2);
+  return TB.take();
+}
 
 /// Runs one session to completion on the calling thread, mimicking the
 /// server's claim/release scheduling handshake.
@@ -259,6 +280,104 @@ TEST(ServeTest, ConcurrentSessionsDoNotInterfere) {
   for (size_t I = 0; I != Got.size(); ++I)
     EXPECT_EQ(Got[I], Expected[I % Modes])
         << "detector=" << Matrix[I % Modes].Detector;
+}
+
+/// The race count in a `crd check` summary line.
+size_t racesInSummary(const std::string &CheckOut) {
+  const std::string Key = "commutativity races: ";
+  size_t At = CheckOut.rfind(Key);
+  EXPECT_NE(At, std::string::npos) << CheckOut;
+  return At == std::string::npos ? 0
+                                 : std::stoull(CheckOut.substr(At + Key.size()));
+}
+
+/// A numeric field of the daemon's `--status` document.
+uint64_t statusField(const Daemon &D, const std::string &Name) {
+  auto [Exit, Out] = runCli({"serve", "--connect=" + D.SockPath, "--status"});
+  EXPECT_EQ(Exit, 0);
+  const std::string Key = "\"" + Name + "\": ";
+  size_t At = Out.find(Key);
+  EXPECT_NE(At, std::string::npos) << Out;
+  return At == std::string::npos ? 0 : std::stoull(Out.substr(At + Key.size()));
+}
+
+/// Live heap bytes of this process (what the daemon reports as
+/// heap_live_bytes); 0 off glibc.
+uint64_t processHeapBytes() {
+#if defined(__GLIBC__) && (__GLIBC__ > 2 || __GLIBC_MINOR__ >= 33)
+  struct mallinfo2 Info = ::mallinfo2();
+  return Info.uordblks + Info.hblkhd;
+#else
+  return 0;
+#endif
+}
+
+TEST(ServeTest, DenseRaceSessionStreamsWithoutHoldingRaces) {
+  // Tens of thousands of races in one session. The race lines stay
+  // byte-identical to `crd check`, and a session hands each race to its
+  // reply line and drops it, so its memory does not grow with the race
+  // count: neither the daemon's heap after the session, nor the heap held
+  // by a finished session that is still alive (its reply lines taken).
+  // The two traces differ only in who performs the puts, so they are the
+  // same length; a session that kept its ~240-byte records (plus their
+  // heap) would hold over 10 MiB more for the racy one.
+  constexpr unsigned Puts = 40000;
+  TestTrace Clean(putTrace(Puts, /*Writers=*/1), /*EventsPerChunk=*/4096);
+  TestTrace Racy(putTrace(Puts, /*Writers=*/2), /*EventsPerChunk=*/4096);
+  size_t CleanRaces =
+      racesInSummary(runCli(checkArgs(Clean, {"seq", "off"})).second);
+  size_t RacyRaces =
+      racesInSummary(runCli(checkArgs(Racy, {"seq", "off"})).second);
+  ASSERT_EQ(CleanRaces, 0u);
+  ASSERT_GT(RacyRaces, 30000u);
+  constexpr uint64_t Slack = 2u << 20;
+
+  {
+    Daemon D;
+    for (const ModeCase &M : {ModeCase{"seq", "off"}, ModeCase{"seq", "full"},
+                              ModeCase{"parallel", "off"}}) {
+      auto [CheckExit, CheckOut] = runCli(checkArgs(Racy, M));
+      auto [ServeExit, ServeOut] = runCli(clientArgs(D, Racy, M));
+      EXPECT_EQ(ServeOut, CheckOut)
+          << "detector=" << M.Detector << " memo=" << M.Memo;
+      EXPECT_EQ(ServeExit, CheckExit);
+    }
+    // The daemon's heap once a session is gone (its connection reaped).
+    auto HeapAfter = [&D](const TestTrace &T) {
+      uint64_t Closed = statusField(D, "sessions_closed");
+      runCli(clientArgs(D, T, {"seq", "off"}));
+      // This session and the status request before it.
+      while (statusField(D, "sessions_closed") < Closed + 2)
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+      return statusField(D, "heap_live_bytes");
+    };
+    uint64_t CleanHeap = HeapAfter(Clean);
+    uint64_t RacyHeap = HeapAfter(Racy);
+    EXPECT_LT(RacyHeap, CleanHeap + Slack)
+        << "daemon heap after a session: " << CleanHeap << " B race-free, "
+        << RacyHeap << " B after " << RacyRaces << " races";
+  }
+
+  // A finished session that is still alive, its reply lines taken.
+  auto Rep = loadDictionary();
+  std::string Handshake = std::string(serve::ProtocolTag) + "\n";
+  auto HeapHeld = [&](const TestTrace &T, size_t Races) -> uint64_t {
+    serve::Session S(1, serve::SessionLimits(), Rep.get(), false);
+    uint64_t Before = processHeapBytes();
+    std::string Reply = runDirect(S, Handshake +
+                                         frame(serve::FrameType::Wire, T.Bytes) +
+                                         frame(serve::FrameType::End, ""));
+    EXPECT_NE(Reply.find("\"races\":" + std::to_string(Races)),
+              std::string::npos);
+    std::string().swap(Reply);
+    uint64_t After = processHeapBytes();
+    return After > Before ? After - Before : 0;
+  };
+  uint64_t CleanHeld = HeapHeld(Clean, CleanRaces);
+  uint64_t RacyHeld = HeapHeld(Racy, RacyRaces);
+  EXPECT_LT(RacyHeld, CleanHeld + Slack)
+      << "a finished session holds " << CleanHeld << " B race-free, "
+      << RacyHeld << " B after " << RacyRaces << " races";
 }
 
 //===----------------------------------------------------------------------===//

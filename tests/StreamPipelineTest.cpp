@@ -23,6 +23,7 @@
 #include "trace/TraceIO.h"
 #include "wire/StreamPipeline.h"
 #include "wire/WireWriter.h"
+#include "RaceSink.h"
 #include "TraceGen.h"
 
 #include <gtest/gtest.h>
@@ -48,17 +49,28 @@ std::string encodeWire(const Trace &T, size_t EventsPerChunk = 64) {
   return OS.str();
 }
 
+/// A finished pipeline plus every race it delivered (the pipeline itself
+/// keeps none).
+struct BinaryRun {
+  std::unique_ptr<StreamPipeline> Pipeline;
+  std::vector<CommutativityRace> Races;
+
+  StreamPipeline *operator->() const { return Pipeline.get(); }
+  StreamPipeline &operator*() const { return *Pipeline; }
+  const std::vector<CommutativityRace> &races() const { return Races; }
+};
+
 /// Runs \p Opts over the binary encoding of \p T and returns the summary;
-/// the pipeline itself is returned through \p Out for result inspection.
-StreamSummary runBinary(const Trace &T, PipelineOptions Opts,
-                        std::unique_ptr<StreamPipeline> &Out,
+/// the pipeline and its races are returned through \p Out.
+StreamSummary runBinary(const Trace &T, PipelineOptions Opts, BinaryRun &Out,
                         size_t EventsPerChunk = 64) {
   std::string Bytes = encodeWire(T, EventsPerChunk);
   std::istringstream In(Bytes);
   DiagnosticEngine Diags;
   BinaryStreamSource Source(In, Diags);
-  Out = std::make_unique<StreamPipeline>(Opts);
+  Out.Pipeline = std::make_unique<StreamPipeline>(Opts);
   Out->setDefaultProvider(&dictRep());
+  testgen::collectRaces(*Out, Out.Races);
   StreamSummary S = Out->run(Source);
   EXPECT_FALSE(Source.failed()) << Diags.toString();
   return S;
@@ -99,12 +111,12 @@ TEST(StreamPipelineTest, SequentialBinaryMatchesMaterialized) {
     Reference.setDefaultProvider(&dictRep());
     Reference.processTrace(T);
 
-    std::unique_ptr<StreamPipeline> P;
+    BinaryRun P;
     StreamSummary S = runBinary(T, {Backend::Sequential}, P);
 
     EXPECT_EQ(S.Events, T.size());
     EXPECT_EQ(S.Races, Reference.races().size());
-    expectRacesIdentical(P->races(), Reference.races());
+    expectRacesIdentical(P.races(), Reference.races());
   }
 }
 
@@ -117,15 +129,17 @@ TEST(StreamPipelineTest, TextSourceMatchesBinarySource) {
   TextStreamSource TextSource(TextIn, Diags);
   StreamPipeline TextP({Backend::Sequential});
   TextP.setDefaultProvider(&dictRep());
+  std::vector<CommutativityRace> TextRaces;
+  testgen::collectRaces(TextP, TextRaces);
   StreamSummary TextS = TextP.run(TextSource);
   EXPECT_FALSE(TextSource.failed()) << Diags.toString();
 
-  std::unique_ptr<StreamPipeline> BinP;
+  BinaryRun BinP;
   StreamSummary BinS = runBinary(T, {Backend::Sequential}, BinP);
 
   EXPECT_EQ(TextS.Events, BinS.Events);
   EXPECT_EQ(TextS.Races, BinS.Races);
-  expectRacesIdentical(TextP.races(), BinP->races());
+  expectRacesIdentical(TextRaces, BinP.races());
 }
 
 TEST(StreamPipelineTest, RaceCallbackFiresForEveryRace) {
@@ -141,8 +155,11 @@ TEST(StreamPipelineTest, RaceCallbackFiresForEveryRace) {
   P.setRaceCallback([&Seen](const CommutativityRace &R) { Seen.push_back(R); });
   StreamSummary S = P.run(Source);
 
+  CommutativityRaceDetector Reference;
+  Reference.setDefaultProvider(&dictRep());
+  Reference.processTrace(T);
   EXPECT_EQ(Seen.size(), S.Races);
-  expectRacesIdentical(Seen, P.races());
+  expectRacesIdentical(Seen, Reference.races());
   EXPECT_GT(S.Races, 0u) << "seed produced no races; pick another seed";
 }
 
@@ -161,7 +178,7 @@ TEST(StreamPipelineTest, ParallelBackendBitIdenticalAcrossBatchesAndShards) {
   // sharded detector's state must carry across them.
   for (size_t Batch : {size_t(1), size_t(17), size_t(100), size_t(4096)}) {
     for (unsigned Shards = 1; Shards <= 4; ++Shards) {
-      std::unique_ptr<StreamPipeline> P;
+      BinaryRun P;
       PipelineOptions Opts;
       Opts.TheBackend = Backend::Parallel;
       Opts.Shards = Shards;
@@ -170,7 +187,7 @@ TEST(StreamPipelineTest, ParallelBackendBitIdenticalAcrossBatchesAndShards) {
 
       EXPECT_EQ(S.Events, T.size())
           << "batch=" << Batch << " shards=" << Shards;
-      expectRacesIdentical(P->races(), Reference.races());
+      expectRacesIdentical(P.races(), Reference.races());
       routedToSequential(*P, Shards);
     }
   }
@@ -189,13 +206,16 @@ TEST(StreamPipelineTest, ParallelPushModeNeedsFinish) {
   Opts.BatchSize = 64;
   StreamPipeline P(Opts);
   P.setDefaultProvider(&dictRep());
+  std::vector<CommutativityRace> Races;
+  testgen::collectRaces(P, Races);
   for (size_t I = 0; I != T.size(); ++I)
     P.onEvent(T[I]);
   P.finish();
   P.finish(); // Idempotent.
 
   EXPECT_EQ(P.eventsProcessed(), T.size());
-  expectRacesIdentical(P.races(), Reference.races());
+  EXPECT_EQ(P.summary().Races, Reference.races().size());
+  expectRacesIdentical(Races, Reference.races());
 }
 
 TEST(StreamPipelineTest, MetricsSnapshotAccountsForEveryEvent) {
@@ -213,7 +233,7 @@ TEST(StreamPipelineTest, MetricsSnapshotAccountsForEveryEvent) {
 
   for (size_t Batch : {size_t(1), size_t(3), size_t(64)}) {
     for (unsigned Shards : {1u, 2u, 4u}) {
-      std::unique_ptr<StreamPipeline> P;
+      BinaryRun P;
       PipelineOptions Opts;
       Opts.TheBackend = Backend::Parallel;
       Opts.Shards = Shards;
@@ -267,7 +287,7 @@ TEST(StreamPipelineTest, BatchSpansCoverEveryDispatchedBatch) {
     Actions += E.isInvoke();
 
   for (unsigned Shards : {1u, 3u}) {
-    std::unique_ptr<StreamPipeline> P;
+    BinaryRun P;
     PipelineOptions Opts;
     Opts.TheBackend = Backend::Parallel;
     Opts.Shards = Shards;
@@ -319,14 +339,14 @@ size_t expectParallelMatchesReference(
     for (size_t Batch : BatchSizes) {
       SCOPED_TRACE(::testing::Message()
                    << "shards=" << Shards << " batch=" << Batch);
-      std::unique_ptr<StreamPipeline> P;
+      BinaryRun P;
       PipelineOptions Opts;
       Opts.TheBackend = Backend::Parallel;
       Opts.Shards = Shards;
       Opts.BatchSize = Batch;
       StreamSummary S = runBinary(T, Opts, P, EventsPerChunk);
       EXPECT_EQ(S.Events, T.size());
-      expectRacesIdentical(P->races(), Reference.races());
+      expectRacesIdentical(P.races(), Reference.races());
     }
   return Reference.races().size();
 }
@@ -390,7 +410,7 @@ TEST(StreamPipelineTest, BackToBackSyncEventsYieldEmptyRuns) {
   if (!metrics::Enabled)
     return;
   // The run accounting must see every sync and record the empty runs.
-  std::unique_ptr<StreamPipeline> P;
+  BinaryRun P;
   PipelineOptions Opts;
   Opts.TheBackend = Backend::Parallel;
   Opts.Shards = 2;
@@ -420,7 +440,7 @@ TEST(StreamPipelineTest, AllSyncTraceHasOnlyDegenerateRuns) {
     for (size_t Batch : {size_t(1), size_t(4), size_t(64)}) {
       SCOPED_TRACE(::testing::Message()
                    << "shards=" << Shards << " batch=" << Batch);
-      std::unique_ptr<StreamPipeline> P;
+      BinaryRun P;
       PipelineOptions Opts;
       Opts.TheBackend = Backend::Parallel;
       Opts.Shards = Shards;
@@ -504,7 +524,7 @@ TEST(StreamPipelineTest, AtomicityBinaryMatchesMaterialized) {
   Reference.setDefaultProvider(&dictRep());
   Reference.processTrace(T);
 
-  std::unique_ptr<StreamPipeline> P;
+  BinaryRun P;
   StreamSummary S = runBinary(T, {Backend::Atomicity}, P);
 
   EXPECT_EQ(S.Violations, Reference.violations().size());
@@ -551,12 +571,113 @@ TEST(StreamPipelineTest, LiveRuntimePushMatchesRecordedTrace) {
 
   StreamPipeline P({Backend::Sequential});
   P.setDefaultProvider(&dictRep());
+  std::vector<CommutativityRace> Races;
+  testgen::collectRaces(P, Races);
   runInto(P);
   P.finish();
 
   EXPECT_EQ(P.eventsProcessed(), Recorder.trace().size());
-  expectRacesIdentical(P.races(), Reference.races());
-  EXPECT_GT(P.races().size(), 0u) << "expected a put/put race";
+  expectRacesIdentical(Races, Reference.races());
+  EXPECT_GT(Races.size(), 0u) << "expected a put/put race";
+}
+
+//===----------------------------------------------------------------------===//
+// Races as a bounded stream
+//===----------------------------------------------------------------------===//
+
+TEST(StreamPipelineTest, DeliveredRacesAreNotKept) {
+  // After each batch the pipeline hands its races to the callback (or,
+  // without one, only counts them) and drops them: at the end no backend
+  // holds a race, the summary still counts every one, and the most races
+  // ever held at once is one batch's worth, not the run's total.
+  Trace T = testgen::randomTrace(9, 4, 200, 3);
+  CommutativityRaceDetector Reference;
+  Reference.setDefaultProvider(&dictRep());
+  Reference.processTrace(T);
+  ASSERT_GT(Reference.races().size(), 20u);
+
+  for (unsigned Shards : {1u, 2u, 3u}) {
+    for (bool Quiet : {false, true}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "shards=" << Shards << " quiet=" << Quiet);
+      std::string Bytes = encodeWire(T, 16);
+      std::istringstream In(Bytes);
+      DiagnosticEngine Diags;
+      BinaryStreamSource Source(In, Diags);
+      PipelineOptions Opts;
+      Opts.TheBackend = Backend::Parallel;
+      Opts.Shards = Shards;
+      Opts.BatchSize = 32;
+      StreamPipeline P(Opts);
+      P.setDefaultProvider(&dictRep());
+      std::vector<CommutativityRace> Seen;
+      if (!Quiet)
+        testgen::collectRaces(P, Seen);
+      StreamSummary S = P.run(Source);
+
+      EXPECT_EQ(S.Races, Reference.races().size());
+      EXPECT_EQ(S.DistinctRacyObjects, Reference.distinctRacyObjects());
+      if (!Quiet)
+        expectRacesIdentical(Seen, Reference.races());
+      if (const CommutativityRaceDetector *Seq = P.sequentialDetector()) {
+        EXPECT_TRUE(Seq->races().empty());
+        EXPECT_EQ(Seq->raceCount(), S.Races);
+        EXPECT_GT(Seq->racesHeldMax(), 0u);
+        EXPECT_LT(Seq->racesHeldMax(), S.Races);
+      } else {
+        const ParallelDetector *Par = P.parallelDetector();
+        ASSERT_NE(Par, nullptr);
+        EXPECT_TRUE(Par->races().empty());
+        EXPECT_EQ(Par->raceCount(), S.Races);
+        for (const ParallelShardMetrics &SM : Par->metricsSnapshot().Shards)
+          EXPECT_LE(SM.RacesHeldMax, SM.MergedRaces);
+      }
+      std::ostringstream Json;
+      P.writeMetricsJson(Json, &Source);
+      EXPECT_NE(Json.str().find("\"races_held_max\""), std::string::npos);
+    }
+  }
+}
+
+TEST(StreamPipelineTest, ParallelRacesStreamBeforeFinish) {
+  // The producer merges a batch's races as soon as every shard has
+  // finished it. A shard cannot fall more than a ring's depth behind (the
+  // producer blocks on a full ring), so on a long racy feed most races
+  // reach the callback before finish() — in event order, bit-identical
+  // to the sequential detector.
+  Trace T = testgen::randomTrace(9, 4, 400, 3);
+  CommutativityRaceDetector Reference;
+  Reference.setDefaultProvider(&dictRep());
+  Reference.processTrace(T);
+
+  PipelineOptions Opts;
+  Opts.TheBackend = Backend::Parallel;
+  Opts.Shards = 2;
+  Opts.BatchSize = 8;
+  StreamPipeline P(Opts);
+  P.setDefaultProvider(&dictRep());
+  std::vector<CommutativityRace> Seen;
+  testgen::collectRaces(P, Seen);
+  EventBatch B;
+  for (size_t I = 0; I != T.size(); ++I) {
+    B.append(T[I]);
+    if (B.size() == 8) {
+      B.finalizeSyncIndex();
+      P.processBatch(B);
+    }
+  }
+  B.finalizeSyncIndex();
+  P.processBatch(B);
+  // Batches older than the last 2 * RingDepth + 2 fed are merged already.
+  size_t Fed = T.size() - 8 * (2 * ParallelDetector::RingDepth + 2);
+  size_t Expected = 0;
+  while (Expected != Reference.races().size() &&
+         Reference.races()[Expected].EventIndex < Fed)
+    ++Expected;
+  ASSERT_GT(Expected, 0u) << "trace too tame";
+  EXPECT_GE(Seen.size(), Expected);
+  P.finish();
+  expectRacesIdentical(Seen, Reference.races());
 }
 
 //===----------------------------------------------------------------------===//
@@ -565,12 +686,12 @@ TEST(StreamPipelineTest, LiveRuntimePushMatchesRecordedTrace) {
 
 TEST(StreamPipelineTest, SummaryCountsDistinctObjects) {
   Trace T = testgen::randomTrace(2, 4, 40, 6);
-  std::unique_ptr<StreamPipeline> P;
+  BinaryRun P;
   StreamSummary S = runBinary(T, {Backend::Sequential}, P);
 
   std::set<uint32_t> Objects;
-  for (const CommutativityRace &R : P->races())
+  for (const CommutativityRace &R : P.races())
     Objects.insert(R.Current.object().index());
   EXPECT_EQ(S.DistinctRacyObjects, Objects.size());
-  EXPECT_EQ(S.clean(), P->races().empty());
+  EXPECT_EQ(S.clean(), P.races().empty());
 }

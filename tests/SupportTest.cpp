@@ -11,7 +11,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <random>
+#include <string>
+#include <thread>
 #include <unordered_set>
 
 using namespace crd;
@@ -55,6 +58,58 @@ TEST(SymbolTest, EmptyStringIsInternable) {
   SymbolTable Table;
   Symbol Empty = Table.intern("");
   EXPECT_EQ(Table.str(Empty), "");
+}
+
+TEST(SymbolTest, IdsFollowInterningOrderAcrossBlocks) {
+  // Storage grows in doubling blocks (256, 512, 1024, ... entries); ids
+  // stay dense and in interning order across every block boundary.
+  SymbolTable Table;
+  for (uint32_t I = 0; I != 5000; ++I)
+    ASSERT_EQ(Table.intern("s" + std::to_string(I)).index(), I);
+  EXPECT_EQ(Table.size(), 5000u);
+  for (uint32_t I = 0; I < 5000; I += 7)
+    EXPECT_EQ(Table.str(Table.intern("s" + std::to_string(I))),
+              "s" + std::to_string(I));
+}
+
+TEST(SymbolTest, ConcurrentInternAndStr) {
+  // str() and size() take no lock: readers look symbols up while two
+  // writers intern the same spellings (deduplicating against each other)
+  // and new storage blocks are allocated. Run under the tsan preset.
+  constexpr uint32_t N = 20000;
+  SymbolTable Table;
+  std::vector<Symbol> Syms(N);
+  std::atomic<uint32_t> Published{0};
+  std::vector<Symbol> Twin(N);
+  std::thread Writer([&] {
+    for (uint32_t I = 0; I != N; ++I) {
+      Syms[I] = Table.intern("w" + std::to_string(I));
+      Published.store(I + 1, std::memory_order_release);
+    }
+  });
+  std::thread Rival([&] {
+    for (uint32_t I = 0; I != N; ++I)
+      Twin[I] = Table.intern("w" + std::to_string(I));
+  });
+  std::atomic<bool> Mismatch{false};
+  auto Reader = [&](uint32_t Stride) {
+    uint32_t Seen = 0;
+    while (Seen != N) {
+      Seen = Published.load(std::memory_order_acquire);
+      for (uint32_t I = 0; I < Seen; I += Stride)
+        if (Table.str(Syms[I]) != "w" + std::to_string(I) ||
+            Table.size() < Seen)
+          Mismatch = true;
+    }
+  };
+  std::thread R1(Reader, 97), R2(Reader, 1013);
+  Writer.join();
+  Rival.join();
+  R1.join();
+  R2.join();
+  EXPECT_FALSE(Mismatch);
+  EXPECT_EQ(Table.size(), N);
+  EXPECT_EQ(Syms, Twin);
 }
 
 //===----------------------------------------------------------------------===//

@@ -800,10 +800,15 @@ int cli::runAnalyze(const std::vector<std::string> &Args, std::ostream &Out,
   // materialized trace drives it otherwise. Races are bit-identical.
   CommutativityRaceDetector RD2;
   wire::StreamPipeline MemoPipeline(POpts);
+  std::vector<CommutativityRace> StreamedRaces;
   const std::vector<CommutativityRace> *CRaces = nullptr;
   size_t DistinctObjs = 0;
   if (POpts.Memo != wire::MemoMode::Off) {
     MemoPipeline.setDefaultProvider(Rep.get());
+    // The pipeline keeps no races; the triage summary needs them all.
+    MemoPipeline.setRaceCallback([&StreamedRaces](const CommutativityRace &R) {
+      StreamedRaces.push_back(R);
+    });
     DiagnosticEngine StreamDiags;
     auto StreamSource = wire::openEventSource(TracePath, StreamDiags);
     if (!StreamSource) {
@@ -815,7 +820,7 @@ int cli::runAnalyze(const std::vector<std::string> &Args, std::ostream &Out,
       Err << TracePath << ":\n" << StreamDiags.toString();
       return ExitFindings;
     }
-    CRaces = &MemoPipeline.races();
+    CRaces = &StreamedRaces;
     DistinctObjs = Sum.DistinctRacyObjects;
   } else {
     RD2.setDefaultProvider(Rep.get());

@@ -17,7 +17,9 @@
 
 #include "CliInternal.h"
 
+#include "detect/Race.h"
 #include "ingest/Session.h"
+#include "support/Hashing.h"
 #include "support/Metrics.h"
 #include "wire/EventSource.h"
 #include "wire/StreamPipeline.h"
@@ -34,6 +36,26 @@ using namespace crd::cli;
 using namespace crd::cli::internal;
 
 namespace {
+
+/// An order-sensitive fingerprint of a race stream: each race's printed
+/// form (appendRace spells every field of the record) chained through one
+/// hash, plus the count. Equal digests mean the same races in the same
+/// order, barring a 64-bit collision, without keeping either stream.
+struct RaceStreamDigest {
+  uint64_t Hash = 0;
+  uint64_t Count = 0;
+  std::string Line; ///< appendRace scratch, reused across races.
+
+  void add(const CommutativityRace &R) {
+    Line.clear();
+    appendRace(Line, R);
+    Hash = hashMix64(Hash ^ hashBytes64(Line.data(), Line.size()));
+    ++Count;
+  }
+  bool operator==(const RaceStreamDigest &O) const {
+    return Hash == O.Hash && Count == O.Count;
+  }
+};
 
 const char RecordHelp[] =
     "usage: crd record --stress [options]\n"
@@ -257,9 +279,13 @@ int crd::cli::internal::runRecord(const std::vector<std::string> &Raw,
   }
 
   std::optional<wire::StreamPipeline> Pipeline;
+  RaceStreamDigest LiveRaces;
   if (Detect) {
     Pipeline.emplace(POpts);
     Pipeline->setDefaultProvider(Rep.get());
+    if (VerifyReplay)
+      Pipeline->setRaceCallback(
+          [&LiveRaces](const CommutativityRace &R) { LiveRaces.add(R); });
   }
   // The wire sink encodes into memory; --out persists the bytes and
   // --verify-replay decodes them back. Sized by the stress: ~4 bytes per
@@ -364,12 +390,17 @@ int crd::cli::internal::runRecord(const std::vector<std::string> &Raw,
   if (VerifyReplay) {
     // The determinism contract: the wire file carries the exact order
     // live detection consumed, so a fresh pipeline over it must report
-    // bit-identical races (field-for-field, not just the same count).
+    // bit-identical races (every field, in the same order, not just the
+    // same count). Both streams are compared by digest as they pass.
     std::istringstream In(WireBuf.str());
     DiagnosticEngine Diags;
     wire::BinaryStreamSource Src(In, Diags);
     wire::StreamPipeline Replayed(POpts);
     Replayed.setDefaultProvider(Rep.get());
+    RaceStreamDigest ReplayedRaces;
+    Replayed.setRaceCallback([&ReplayedRaces](const CommutativityRace &R) {
+      ReplayedRaces.add(R);
+    });
     wire::StreamSummary Sum = Replayed.run(Src);
     if (Src.failed()) {
       Err << "replay: recorded wire stream is malformed:\n"
@@ -377,12 +408,12 @@ int crd::cli::internal::runRecord(const std::vector<std::string> &Raw,
       return ExitFindings;
     }
     bool EventsMatch = Sum.Events == M.EventsCollected;
-    bool RacesMatch = Replayed.races() == Pipeline->races();
+    bool RacesMatch = ReplayedRaces == LiveRaces;
     if (EventsMatch && RacesMatch) {
       Out << "replay identical: yes (" << Sum.Events << " events, "
           << Sum.Races << " races)\n";
     } else {
-      Out << "replay identical: NO — live " << Pipeline->races().size()
+      Out << "replay identical: NO — live " << LiveRaces.Count
           << " races / " << M.EventsCollected << " events vs replay "
           << Sum.Races << " races / " << Sum.Events << " events\n";
       return ExitFindings;
